@@ -7,12 +7,16 @@ edge-set unions of basic layers and are materialized once at build time
 binary and self-ties are rejected.  Everything is immutable after
 construction, which makes views safe to share across threads or worker
 processes without locking.
+
+Validation lives here: :func:`build_graph` alone checks node labels and
+edges, and :func:`check_layers` alone checks layer declarations (for
+manifests too).  Each layer is stored once, as its :class:`LayerView`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateLayerName,
@@ -24,6 +28,15 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+
+class EdgeRecord(NamedTuple):
+    """One edge-file row: an edge triple plus the line it came from."""
+
+    source: str
+    target: str
+    layer: str
+    line_no: int
 
 
 @dataclass(frozen=True)
@@ -40,9 +53,11 @@ class LayerSpec:
     constituents: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "constituents", tuple(self.constituents))
         if not self.name:
             raise InvalidParameter("layer name must be non-empty")
+        if not isinstance(self.constituents, (list, tuple)):
+            raise InvalidParameter(f"layer '{self.name}': constituents must be a list of layer names")
+        object.__setattr__(self, "constituents", tuple(self.constituents))
         if self.kind not in ("basic", "aggregate"):
             raise InvalidParameter(f"layer '{self.name}': kind must be 'basic' or 'aggregate'")
         if self.kind == "basic" and self.constituents:
@@ -60,21 +75,27 @@ class LayerSpec:
 
 
 class LayerView:
-    """Read-only adjacency view of a single layer.
+    """Read-only adjacency view of a single layer, built from its edge set.
 
     Successor and predecessor sets are exposed as frozensets keyed by
-    dense node id.  Invariants: ``j in out_set(i)`` iff ``i in in_set(j)``,
-    and the out-degrees and in-degrees each sum to the edge count.
+    dense node id; they are the only stored copy of the layer.
+    Invariants: ``j in out_set(i)`` iff ``i in in_set(j)``, and the
+    out-degrees and in-degrees each sum to the edge count.
     """
 
     __slots__ = ("name", "n_nodes", "n_edges", "_out", "_in")
 
-    def __init__(self, name: str, out_sets: Sequence[frozenset[int]], in_sets: Sequence[frozenset[int]]):
+    def __init__(self, name: str, n_nodes: int, edges: frozenset[Edge]):
+        out_sets = [set() for _ in range(n_nodes)]
+        in_sets = [set() for _ in range(n_nodes)]
+        for i, j in edges:
+            out_sets[i].add(j)
+            in_sets[j].add(i)
         self.name = name
-        self._out = tuple(out_sets)
-        self._in = tuple(in_sets)
-        self.n_nodes = len(self._out)
-        self.n_edges = sum(len(s) for s in self._out)
+        self.n_nodes = n_nodes
+        self.n_edges = len(edges)
+        self._out = tuple(map(frozenset, out_sets))
+        self._in = tuple(map(frozenset, in_sets))
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
@@ -130,27 +151,14 @@ class MultiplexGraph:
         self,
         labels: Sequence[str],
         specs: Sequence[LayerSpec],
-        edge_sets: Mapping[str, frozenset[Edge]],
+        views: Mapping[str, LayerView],
         duplicates_collapsed: Mapping[str, int],
     ):
         self._labels = tuple(labels)
         self._index = {label: i for i, label in enumerate(self._labels)}
         self._specs = tuple(specs)
-        self._edge_sets = dict(edge_sets)
+        self._views = dict(views)
         self.duplicates_collapsed = dict(duplicates_collapsed)
-        n = len(self._labels)
-        self._views: dict[str, LayerView] = {}
-        for spec in self._specs:
-            out_sets = [set() for _ in range(n)]
-            in_sets = [set() for _ in range(n)]
-            for i, j in self._edge_sets[spec.name]:
-                out_sets[i].add(j)
-                in_sets[j].add(i)
-            self._views[spec.name] = LayerView(
-                spec.name,
-                [frozenset(s) for s in out_sets],
-                [frozenset(s) for s in in_sets],
-            )
 
     @property
     def n_nodes(self) -> int:
@@ -196,15 +204,13 @@ class MultiplexGraph:
             raise UnknownLayer(f"unknown layer '{name}'") from None
 
     def edge_set(self, name: str) -> frozenset[Edge]:
-        if name not in self._edge_sets:
-            raise UnknownLayer(f"unknown layer '{name}'")
-        return self._edge_sets[name]
+        return self.view(name).edge_set()
 
     def canonical_form(self):
         """Order-insensitive content: used for equality and round-trips."""
         edges_by_label = {
-            name: frozenset((self._labels[i], self._labels[j]) for i, j in es)
-            for name, es in self._edge_sets.items()
+            name: frozenset((self._labels[i], self._labels[j]) for i, j in view.edges())
+            for name, view in self._views.items()
         }
         return (frozenset(self._labels), self._specs, edges_by_label)
 
@@ -217,12 +223,29 @@ class MultiplexGraph:
         return f"MultiplexGraph(n_nodes={self.n_nodes}, layers={list(self.layer_names)})"
 
 
+def check_layers(specs: Sequence[LayerSpec]) -> None:
+    """Reject a repeated layer name or an aggregate over an undeclared basic layer."""
+    basic = {s.name for s in specs if s.kind == "basic"}
+    names = [s.name for s in specs]
+    for spec in specs:
+        if names.count(spec.name) > 1:
+            raise DuplicateLayerName(f"duplicate layer name '{spec.name}'")
+        for c in spec.constituents:
+            if c not in basic:
+                raise UnknownLayer(f"aggregate '{spec.name}' references undeclared basic layer '{c}'")
+
+
+def _where(edge) -> str:
+    """How errors name an edge: by its source line when it carries one."""
+    return f"line {edge[3]}" if len(edge) > 3 else f"edge ({edge[0]}, {edge[1]}, {edge[2]})"
+
+
 def build_graph(
     nodes: Iterable[str],
     layer_specs: Iterable[LayerSpec],
-    edges: Iterable[tuple[str, str, str]],
+    edges: Iterable[EdgeRecord | tuple[str, str, str]],
 ) -> MultiplexGraph:
-    """Build a multiplex graph from labels, layer declarations and edge triples.
+    """Build a multiplex graph from labels, layer declarations and edges.
 
     Parameters
     ----------
@@ -231,75 +254,53 @@ def build_graph(
         case-sensitive exact strings (no normalization, so distinct
         survey ids never merge silently).
     layer_specs:
-        Basic and aggregate layer declarations.  Aggregates may only
-        reference declared basic layers.
+        Basic and aggregate layer declarations, checked by
+        :func:`check_layers`.
     edges:
-        ``(source_label, target_label, basic_layer_name)`` triples.
-        Duplicate triples collapse to a single tie; the collapse count
-        per layer is surfaced on ``duplicates_collapsed``, not raised.
+        :class:`EdgeRecord` rows or plain ``(source_label, target_label,
+        basic_layer_name)`` triples.  Duplicates collapse to a single
+        tie; the collapse count per layer is surfaced on
+        ``duplicates_collapsed``, not raised.
 
     Raises
     ------
     DuplicateNodeLabel, DuplicateLayerName, UnknownLayer, UnknownNode, SelfTie
-        Each names the offending record.
+        Each names the offending record: an edge by its ``line_no`` if it
+        has one, else its triple; a label by its 1-based position in
+        ``nodes``, which is its line in a node file.
     """
     labels = list(nodes)
-    seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateNodeLabel(f"duplicate node label '{label}'")
-        seen.add(label)
-    index = {label: i for i, label in enumerate(labels)}
+    index: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if index.setdefault(label, i) != i:
+            raise DuplicateNodeLabel(f"line {i + 1}: duplicate node label '{label}'")
 
     specs = list(layer_specs)
-    names: set[str] = set()
-    for spec in specs:
-        if spec.name in names:
-            raise DuplicateLayerName(f"duplicate layer name '{spec.name}'")
-        names.add(spec.name)
-    basic_names = {s.name for s in specs if s.kind == "basic"}
-    for spec in specs:
-        if spec.kind == "aggregate":
-            for c in spec.constituents:
-                if c not in basic_names:
-                    raise UnknownLayer(
-                        f"aggregate '{spec.name}' references undeclared basic layer '{c}'"
-                    )
-
-    edge_sets: dict[str, set[Edge]] = {name: set() for name in basic_names}
-    duplicates: dict[str, int] = {s.name: 0 for s in specs}
-    for src, dst, layer in edges:
-        if src not in index:
-            raise UnknownNode(f"edge ({src}, {dst}, {layer}): unknown node '{src}'")
-        if dst not in index:
-            raise UnknownNode(f"edge ({src}, {dst}, {layer}): unknown node '{dst}'")
-        if layer not in basic_names:
-            if layer in names:
-                raise UnknownLayer(
-                    f"edge ({src}, {dst}, {layer}): '{layer}' is an aggregate, edges go in basic layers"
-                )
-            raise UnknownLayer(f"edge ({src}, {dst}, {layer}): unknown layer '{layer}'")
+    check_layers(specs)
+    edge_sets: dict[str, set[Edge]] = {s.name: set() for s in specs if s.kind == "basic"}
+    rows = dict.fromkeys((s.name for s in specs), 0)
+    for edge in edges:
+        src, dst, layer = edge[0], edge[1], edge[2]
+        if src not in index or dst not in index:
+            raise UnknownNode(f"{_where(edge)}: unknown node '{dst if src in index else src}'")
+        if layer not in edge_sets:
+            if layer in rows:  # declared, so an aggregate
+                raise UnknownLayer(f"{_where(edge)}: '{layer}' is an aggregate, edges go in basic layers")
+            raise UnknownLayer(f"{_where(edge)}: unknown layer '{layer}'")
         if src == dst:
-            raise SelfTie(f"edge ({src}, {dst}, {layer}): self-ties are not allowed")
-        pair = (index[src], index[dst])
-        if pair in edge_sets[layer]:
-            duplicates[layer] += 1
-        else:
-            edge_sets[layer].add(pair)
+            raise SelfTie(f"{_where(edge)}: self-tie on '{src}' is not allowed")
+        edge_sets[layer].add((index[src], index[dst]))
+        rows[layer] += 1
+    duplicates = {name: count - len(edge_sets.get(name, ())) for name, count in rows.items()}
 
-    final: dict[str, frozenset[Edge]] = {}
+    # Each view walks its layer's edge frozenset, never the input rows:
+    # degree_assortativity sums in set-iteration order, so row order would
+    # otherwise reach the report bytes.
+    views = {}
     for spec in specs:
         if spec.kind == "basic":
-            final[spec.name] = frozenset(edge_sets[spec.name])
+            layer_edges = frozenset(edge_sets[spec.name])
         else:
-            union: set[Edge] = set()
-            for c in spec.constituents:
-                union |= edge_sets[c]
-            final[spec.name] = frozenset(union)
-
-    return MultiplexGraph(labels, specs, final, duplicates)
-
-
-def layer_view(graph: MultiplexGraph, name: str) -> LayerView:
-    """Adjacency view of one declared layer (basic or aggregate)."""
-    return graph.view(name)
+            layer_edges = frozenset(set().union(*(edge_sets[c] for c in spec.constituents)))
+        views[spec.name] = LayerView(spec.name, len(labels), layer_edges)
+    return MultiplexGraph(labels, specs, views, duplicates)

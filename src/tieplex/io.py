@@ -12,38 +12,43 @@ File formats (all UTF-8, LF or CRLF):
 Parsers reject rather than repair: a bad line raises with its line
 number instead of being dropped.  Comma is the default delimiter; a tab
 in the header line switches to tab unless the manifest pins one.
+
+Each check runs once: the parsers here check file format, and
+:func:`manifest_from_dict` the manifest fields; layer declarations, node
+labels and edges are checked in :mod:`tieplex.graph`.  Loading prefixes
+the file path to any input error: ``<file>: line N: ...``.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .crosslayer import AttributeTable
 from .errors import (
+    DuplicateNodeLabel,
     EmptyField,
     InvalidParameter,
     MalformedLine,
     MissingHeader,
+    ParseError,
+    TieplexError,
     UnknownBucketKey,
     UnknownLayer,
-    UnknownNode,
 )
-from .graph import LayerSpec, MultiplexGraph, build_graph
+from .graph import EdgeRecord, LayerSpec, MultiplexGraph, build_graph, check_layers
 
 EDGE_HEADER = ("source", "target", "layer")
 ATTRIBUTE_HEADER = ("node", "key", "value")
-MANIFEST_FIELDS = {"nodes", "edges", "attributes", "layers", "pairs", "buckets", "delimiter"}
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    source: str
-    target: str
-    layer: str
-    line_no: int
+# The JSON type of each manifest field; null counts as absent.
+MANIFEST_FIELDS = {
+    "nodes": str, "edges": str, "attributes": str, "delimiter": str,
+    "layers": list, "pairs": list, "buckets": dict,
+}
+JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ def _layer_spec_from_dict(doc: dict) -> LayerSpec:
     name = doc.get("name")
     if not isinstance(name, str):
         raise InvalidParameter("layer entry needs a string 'name'")
-    constituents = tuple(doc.get("constituents", ()))
+    constituents = doc.get("constituents", ())
     kind = doc.get("kind", "aggregate" if constituents else "basic")
     return LayerSpec(name=name, kind=kind, constituents=constituents)
 
@@ -205,7 +210,10 @@ def _bucket_rules_from_list(key: str, entries) -> tuple[BucketRule, ...]:
             raise InvalidParameter(
                 f"bucket rule for '{key}' needs exactly label/min/max, got {entry!r}"
             )
-        lo, hi = float(entry["min"]), float(entry["max"])
+        try:
+            lo, hi = float(entry["min"]), float(entry["max"])
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"bucket rule for '{key}': min and max must be numbers") from None
         if not lo < hi:
             raise InvalidParameter(f"bucket rule for '{key}': min must be < max")
         rules.append(BucketRule(label=str(entry["label"]), lo=lo, hi=hi))
@@ -217,38 +225,29 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> DatasetManifest
     base = Path(base_dir)
     if not isinstance(doc, dict):
         raise InvalidParameter("manifest must be a JSON object")
-    unknown = set(doc) - MANIFEST_FIELDS
+    unknown = doc.keys() - MANIFEST_FIELDS.keys()
     if unknown:
         raise InvalidParameter(f"manifest has unknown fields {sorted(unknown)}")
     for required in ("nodes", "edges", "layers"):
-        if required not in doc:
+        if doc.get(required) is None:
             raise InvalidParameter(f"manifest is missing required field '{required}'")
+    for field, kind in MANIFEST_FIELDS.items():
+        if doc.get(field) is not None and not isinstance(doc[field], kind):
+            raise InvalidParameter(f"manifest field '{field}' must be {JSON_TYPES[kind]}")
 
     layers = tuple(_layer_spec_from_dict(entry) for entry in doc["layers"])
+    check_layers(layers)
     declared = [s.name for s in layers]
-    if len(set(declared)) != len(declared):
-        dup = next(n for n in declared if declared.count(n) > 1)
-        raise InvalidParameter(f"manifest declares layer '{dup}' twice")
-    basic = {s.name for s in layers if s.kind == "basic"}
-    for s in layers:
-        for c in s.constituents:
-            if c not in basic:
-                raise UnknownLayer(
-                    f"manifest aggregate '{s.name}' references undeclared basic layer '{c}'"
-                )
 
-    pairs = None
-    if doc.get("pairs") is not None:
-        pairs = []
-        for entry in doc["pairs"]:
+    pairs = doc.get("pairs")
+    if pairs is not None:
+        for entry in pairs:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise InvalidParameter(f"pair entry must be a 2-element list, got {entry!r}")
-            a, b = entry
-            for name in (a, b):
+            for name in entry:
                 if name not in declared:
                     raise UnknownLayer(f"manifest pair references undeclared layer '{name}'")
-            pairs.append((a, b))
-        pairs = tuple(pairs)
+        pairs = tuple(tuple(entry) for entry in pairs)
 
     buckets = {
         key: _bucket_rules_from_list(key, entries)
@@ -271,50 +270,54 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> DatasetManifest
     )
 
 
+@contextmanager
+def _open_input(path: Path) -> Iterator[IO[str]]:
+    """Open ``path`` as UTF-8 text; an input error raised in the block names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    except TieplexError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameter(f"manifest is not valid JSON: {exc}") from None
-    return manifest_from_dict(doc, base_dir=path.parent)
+        return manifest_from_dict(doc, base_dir=path.parent)
 
 
 def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
     """Read all files of a manifest and build the graph and attribute table.
 
-    Edge records are validated against the node list and layer
-    declarations with their line numbers before graph construction, so
-    errors point at the offending file line.
+    Edge records carry their lines into :func:`build_graph`, which checks them.
     """
     if not isinstance(manifest, DatasetManifest):
         manifest = load_manifest(manifest)
 
-    with open(manifest.nodes_path, encoding="utf-8") as fh:
+    with _open_input(manifest.nodes_path) as fh:
         labels = parse_nodes(fh)
-    with open(manifest.edges_path, encoding="utf-8") as fh:
+    with _open_input(manifest.edges_path) as fh:
         records = parse_edges(fh, delimiter=manifest.delimiter)
-
-    label_set = set(labels)
-    basic = {s.name for s in manifest.layers if s.kind == "basic"}
-    for r in records:
-        if r.source not in label_set:
-            raise UnknownNode(f"line {r.line_no}: unknown node '{r.source}'")
-        if r.target not in label_set:
-            raise UnknownNode(f"line {r.line_no}: unknown node '{r.target}'")
-        if r.layer not in basic:
-            raise UnknownLayer(f"line {r.line_no}: '{r.layer}' is not a declared basic layer")
-
-    graph = build_graph(labels, manifest.layers, [(r.source, r.target, r.layer) for r in records])
+    try:
+        graph = build_graph(labels, manifest.layers, records)
+    except TieplexError as exc:
+        path = manifest.nodes_path if isinstance(exc, DuplicateNodeLabel) else manifest.edges_path
+        exc.args = (f"{path}: {exc}",)
+        raise
 
     attributes = None
     if manifest.attributes_path is not None:
-        with open(manifest.attributes_path, encoding="utf-8") as fh:
+        with _open_input(manifest.attributes_path) as fh:
             attributes = parse_attributes(fh, buckets=manifest.buckets, delimiter=manifest.delimiter)
-        for label in attributes.labels():
-            if label not in label_set:
-                raise UnknownNode(f"attribute file references unknown node '{label}'")
+            for label in attributes.labels():
+                graph.node_id(label)  # raises UnknownNode for a label outside the node file
 
     report = IngestionReport(
         node_count=graph.n_nodes,

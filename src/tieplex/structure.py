@@ -253,8 +253,8 @@ def structural_equivalence(
     by equal triples).  The optional degree filter restricts grouping
     to nodes with the given out- and/or in-degree.
     """
-    if tolerance < 0:
-        raise InvalidParameter("tolerance must be >= 0")
+    if not tolerance >= 0:  # also rejects NaN
+        raise InvalidParameter(f"tolerance must be >= 0, got {tolerance!r}")
     actors = layer_metrics(view).actors
     remaining = [
         a
@@ -338,8 +338,7 @@ def wedge_closure(
 
 def layer_summary(view: LayerView) -> LayerSummary:
     """Assemble the structural summary row of one layer."""
-    components = strongly_connected_components(view)
-    giant = max(components, key=lambda c: (len(c), -min(c)))
+    giant = largest_scc(view)
     scc_edges = induced_edge_count(view, giant)
     if len(giant) >= 2:
         stats = path_stats(view, giant)

@@ -11,7 +11,6 @@ from tieplex import (
     UnknownLayer,
     UnknownNode,
     build_graph,
-    layer_view,
 )
 
 from conftest import single
@@ -50,10 +49,10 @@ def test_four_basic_five_aggregates_gives_nine_views():
 
 def test_layer_view_contents():
     g = simple_graph()
-    v = layer_view(g, "alpha")
+    v = g.view("alpha")
     assert v.out_set(0) == {1}
     assert v.in_set(0) == {1}
-    assert layer_view(g, "all").out_set(0) == {1, 2}
+    assert g.view("all").out_set(0) == {1, 2}
 
 
 def test_unknown_layer_view():

@@ -162,6 +162,26 @@ def test_manifest_bad_aggregate_fails_before_any_file_read(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"layers": 5},
+        {"pairs": 1},
+        {"buckets": ["gpa"]},
+        {"nodes": 5},
+        {"edges": ["edges.csv"]},
+        {"attributes": ["attributes.csv"]},
+        {"buckets": {"gpa": [{"label": "low", "min": "abc", "max": 7.0}]}},
+        {"buckets": {"gpa": [{"label": "low", "min": 6.0, "max": None}]}},
+        {"layers": [{"name": "x"}, {"name": "y"}, {"name": "u", "constituents": "xy"}]},
+    ],
+    ids=["layers", "pairs", "buckets", "nodes", "edges", "attributes", "bucket-min", "bucket-max", "constituents"],
+)
+def test_manifest_malformed_field_rejected(override):
+    with pytest.raises(InvalidParameter):
+        manifest_from_dict(manifest_doc(**override))
+
+
 def test_manifest_pairs_validated():
     with pytest.raises(UnknownLayer):
         manifest_from_dict(manifest_doc(pairs=[["x", "ghost"]]))

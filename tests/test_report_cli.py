@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -20,6 +23,8 @@ from tieplex.report import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
+# sha256 of every report verb and format on data/demo, keyed by CLI arguments
+DEMO_DIGESTS = json.loads(Path(__file__).with_name("demo_digests.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +276,60 @@ def test_write_demo_dataset_deterministic(tmp_path):
     write_demo_dataset(tmp_path / "two", seed=9, n_nodes=15)
     for name in ("nodes.txt", "edges.csv", "attributes.csv", "manifest.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(DEMO_DIGESTS))
+def test_demo_report_bytes_unchanged(command, capsys):
+    assert run_cli(*command.split(), "--manifest", str(DATA / "manifest.json")) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEMO_DIGESTS[command]
+
+
+def test_summary_bytes_independent_of_edge_row_order(tmp_path, capsys):
+    # assortativity sums in set-iteration order; at 100 nodes a graph
+    # filled in edge-row order changes its last digit, at 60 it does not
+    write_demo_dataset(tmp_path / "original", seed=42, n_nodes=100)
+    shutil.copytree(tmp_path / "original", tmp_path / "shuffled")
+    edges = tmp_path / "shuffled" / "edges.csv"
+    header, *rows = edges.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(7).shuffle(rows)
+    edges.write_text(header + "".join(rows), encoding="utf-8")
+    outputs = []
+    for name in ("original", "shuffled"):
+        assert run_cli("summary", "--manifest", str(tmp_path / name / "manifest.json"), "--format", "json") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "name, content, where",
+    [
+        ("edges.csv", "source,target,layer\na,b,x\nc,c,x\n", "line 3"),
+        ("edges.csv", "source,target,layer\na,zzz,x\n", "line 2"),
+        ("edges.csv", "source,target,layer\na,b,x\nb,a,u\n", "line 3"),
+        ("nodes.txt", "a\nb\na\n", "line 3"),
+        ("edges.csv", b"source,target,layer\na,b,\xff\n", "UTF-8"),
+        ("manifest.json", b'{"nodes": "\xff"}', "UTF-8"),
+        ("manifest.json", '{"nodes": "nodes.txt", "edges": "edges.csv", "layers": 5}', "'layers'"),
+    ],
+    ids=[
+        "self-tie", "unknown-node", "aggregate-edge", "duplicate-label",
+        "edges-not-utf8", "manifest-not-utf8", "manifest-field-type",
+    ],
+)
+def test_cli_bad_input_exit_2_names_file(tmp_path, capsys, name, content, where):
+    (tmp_path / "nodes.txt").write_text("a\nb\nc\n", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("source,target,layer\na,b,x\n", encoding="utf-8")
+    layers = [{"name": "x"}, {"name": "u", "kind": "aggregate", "constituents": ["x"]}]
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"nodes": "nodes.txt", "edges": "edges.csv", "layers": layers}), encoding="utf-8"
+    )
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    assert run_cli("summary", "--manifest", str(tmp_path / "manifest.json")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert where in err

@@ -103,6 +103,12 @@ def test_structural_equivalence_dyad(mutual_dyad):
     assert classes[0].members == (0, 1)
 
 
+@pytest.mark.parametrize("tolerance", [-0.1, float("nan")])
+def test_structural_equivalence_rejects_bad_tolerance(mutual_dyad, tolerance):
+    with pytest.raises(InvalidParameter):
+        structural_equivalence(mutual_dyad, tolerance)
+
+
 def test_structural_equivalence_tolerance_zero_distinct():
     # metric triples all differ: each node is its own class
     v = single([(0, 1), (1, 0), (1, 2), (2, 0)], 3)
