@@ -6,7 +6,8 @@ edge-set unions of basic layers and are materialized once at build time
 (metrics re-read them constantly, so laziness buys nothing).  Ties are
 binary and self-ties are rejected.  Everything is immutable after
 construction, which makes views safe to share across threads or worker
-processes without locking.
+processes without locking (a view's CSR cache is filled on first use,
+but two threads filling it at once store equal arrays).
 
 Validation lives here: :func:`build_graph` alone checks node labels and
 edges, and :func:`check_layers` alone checks layer declarations (for
@@ -26,6 +27,7 @@ from .errors import (
     UnknownLayer,
     UnknownNode,
 )
+from .kernels import CSR
 
 Edge = tuple[int, int]
 
@@ -78,12 +80,14 @@ class LayerView:
     """Read-only adjacency view of a single layer, built from its edge set.
 
     Successor and predecessor sets are exposed as frozensets keyed by
-    dense node id; they are the only stored copy of the layer.
-    Invariants: ``j in out_set(i)`` iff ``i in in_set(j)``, and the
-    out-degrees and in-degrees each sum to the edge count.
+    dense node id.  They are the stored copy of the layer; :meth:`csr`
+    derives sorted CSR arrays from them on first use and keeps those
+    for the kernels.  Invariants: ``j in out_set(i)`` iff
+    ``i in in_set(j)``, and the out-degrees and in-degrees each sum to
+    the edge count.
     """
 
-    __slots__ = ("name", "n_nodes", "n_edges", "_out", "_in")
+    __slots__ = ("name", "n_nodes", "n_edges", "_out", "_in", "_csr")
 
     def __init__(self, name: str, n_nodes: int, edges: frozenset[Edge]):
         out_sets = [set() for _ in range(n_nodes)]
@@ -96,6 +100,7 @@ class LayerView:
         self.n_edges = len(edges)
         self._out = tuple(map(frozenset, out_sets))
         self._in = tuple(map(frozenset, in_sets))
+        self._csr: dict[str, CSR] = {}
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
@@ -135,6 +140,20 @@ class LayerView:
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset((i, j) for i, succ in enumerate(self._out) for j in succ)
+
+    def csr(self, kind: str) -> CSR:
+        """The ``"out"``, ``"in"`` or ``"undirected"`` neighbour sets as CSR, built once."""
+        if kind not in self._csr:
+            if kind == "out":
+                sets = self._out
+            elif kind == "in":
+                sets = self._in
+            elif kind == "undirected":
+                sets = [succ | pred for succ, pred in zip(self._out, self._in)]
+            else:
+                raise InvalidParameter(f"unknown adjacency kind '{kind}'")
+            self._csr[kind] = CSR.from_sets(sets)
+        return self._csr[kind]
 
 
 class MultiplexGraph:

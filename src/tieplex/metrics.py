@@ -18,7 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .graph import LayerView
+from .kernels import CSR, intersection_counts, jaccard_terms
 
 
 class JaccardConvention(Enum):
@@ -156,16 +159,58 @@ def actor_metrics(view: LayerView, i: int) -> ActorMetrics:
 
 
 def layer_metrics(view: LayerView) -> LayerMetrics:
-    """Actor metrics for every node of the layer, with layer averages."""
-    actors = tuple(actor_metrics(view, i) for i in range(view.n_nodes))
+    """Actor metrics for every node of the layer, with layer averages.
+
+    Bitwise equal to :func:`actor_metrics` per node, which is the
+    reference; the counts come from one kernel call per metric.
+    """
+    out, inn = view.csr("out"), view.csr("in")
     n = view.n_nodes
+    reciprocated, recip = _node_terms(out, inn)
+    cycles, cycle = _closure(out, inn, inn)
+    triplets, triplet = _closure(out, out, out)
+    columns = zip(
+        range(n),
+        out.degrees().tolist(),
+        inn.degrees().tolist(),
+        reciprocated.tolist(),
+        recip,
+        cycles.tolist(),
+        cycle,
+        triplets.tolist(),
+        triplet,
+    )
+    actors = tuple(ActorMetrics(*row) for row in columns)
     return LayerMetrics(
         layer=view.name,
         actors=actors,
-        avg_reciprocity=_mean([a.reciprocity for a in actors], n),
-        avg_cycle_closure=_mean([a.cycle_closure for a in actors], n),
-        avg_triplet_closure=_mean([a.triplet_closure for a in actors], n),
+        avg_reciprocity=_mean(recip, n),
+        avg_cycle_closure=_mean(cycle, n),
+        avg_triplet_closure=_mean(triplet, n),
     )
+
+
+def _node_terms(P: CSR, Q: CSR) -> tuple[np.ndarray, list[float]]:
+    """Per node i: |P[i] ∩ Q[i]| and jaccard(P[i], Q[i])."""
+    nodes = np.arange(len(P.indptr) - 1)
+    inter = intersection_counts(P, Q, nodes, nodes)
+    return inter, jaccard_terms(inter, P.degrees(), Q.degrees()).tolist()
+
+
+def _closure(anchor: CSR, walk: CSR, compared: CSR) -> tuple[np.ndarray, list[float]]:
+    """Closure counts and scores of every node i, walking h over walk[i].
+
+    Returns the sum of |anchor[i] ∩ compared[h]| and the mean of
+    jaccard(anchor[i], compared[h]) per node; like :func:`_mean_jaccard`,
+    the mean is ``fsum`` of the terms over their number, 0 for none.
+    """
+    nodes = walk.row_ids()
+    inter = intersection_counts(anchor, compared, nodes, walk.indices)
+    terms = jaccard_terms(inter, anchor.degrees()[nodes], compared.degrees()[walk.indices]).tolist()
+    bounds = walk.indptr.tolist()
+    means = [math.fsum(terms[s:e]) / (e - s) if e > s else 0.0 for s, e in zip(bounds, bounds[1:])]
+    sums = np.diff(np.concatenate(([0], np.cumsum(inter)))[walk.indptr])
+    return sums, means
 
 
 def _mean(values: Iterable[float], count: int) -> float:

@@ -11,11 +11,15 @@ from pathlib import Path
 
 from tieplex import (
     AttributeTable,
+    CrossLayerAverages,
     LayerParams,
     LayerSpec,
+    actor_metrics,
     attribute_metrics,
     build_graph,
     cross_cycle_closure,
+    cross_layer_averages,
+    cross_layer_table,
     cross_reciprocity,
     cross_triplet_closure,
     cycle_closure,
@@ -37,9 +41,11 @@ from tieplex import (
 from tieplex.cli import main
 from tieplex.report import endogenous_report, summary_report
 from tieplex.io import load_dataset
+from tieplex.metrics import _mean
 from tieplex.structure import largest_scc
 
 import oracles
+from conftest import two_layer
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
 TOL = 1e-12
@@ -285,3 +291,32 @@ def test_criterion_10_attribute_oracle_and_relabel_invariance():
             shuffled = list(g.labels)
             shuffled.reverse()
             assert unnetworked_similarity(shuffled, table) == baseline
+
+
+def test_criterion_11_kernels_match_set_reference_bitwise():
+    with criterion(11, "layer and cross-layer kernels equal the per-actor set functions bitwise"):
+        edge_cases = [
+            two_layer([], [], 4),  # all isolates
+            two_layer([(0, 1), (1, 2), (2, 0), (0, 2)], [], 3),  # layer b has no edges
+            two_layer([(0, 1)], [(1, 0)], 2),  # n = 2
+            # in a, 0 -> 1 and 2 -> 3 come from nodes with no in-ties into
+            # nodes with no out-ties: both-empty cycle terms at 1 and 3
+            two_layer([(0, 1), (2, 3)], [(1, 2), (3, 0)], 4),
+        ]
+        for g in [*metric_corpus(200), *edge_cases]:
+            n = g.n_nodes
+            for alpha in g.layer_names:
+                v = g.view(alpha)
+                lm = layer_metrics(v)
+                actors = tuple(actor_metrics(v, i) for i in range(n))
+                assert lm.actors == actors
+                assert lm.avg_reciprocity == _mean([a.reciprocity for a in actors], n)
+                assert lm.avg_cycle_closure == _mean([a.cycle_closure for a in actors], n)
+                assert lm.avg_triplet_closure == _mean([a.triplet_closure for a in actors], n)
+                for beta in g.layer_names:
+                    table = cross_layer_table(g, alpha, beta)
+                    fields = ("reciprocity", "cycle_closure", "triplet_closure", "overlap_out", "overlap_in")
+                    expected = CrossLayerAverages(
+                        alpha, beta, *(_mean([getattr(r, f) for r in table], n) for f in fields)
+                    )
+                    assert cross_layer_averages(g, alpha, beta) == expected

@@ -252,6 +252,16 @@ def test_cli_unknown_layer_exit_2(capsys):
     assert code == 2
 
 
+def test_cli_repeated_closing_layer_exit_2(capsys):
+    # counted twice, strong_off would report 2x the wedges it closes
+    code = run_cli(
+        "wedges", "--manifest", str(DATA / "manifest.json"),
+        "--wedge-layer", "all", "--closing-layers", "strong_off,strong_off",
+    )
+    assert code == 2
+    assert "'strong_off'" in capsys.readouterr().err
+
+
 def test_cli_bad_manifest_exit_2(tmp_path, capsys):
     bad = tmp_path / "manifest.json"
     bad.write_text(json.dumps({"nodes": "n", "edges": "e", "layers": [], "oops": 1}), encoding="utf-8")
