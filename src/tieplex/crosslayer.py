@@ -108,7 +108,7 @@ def cross_layer_averages(g: MultiplexGraph, alpha: str, beta: str) -> CrossLayer
     Bitwise equal to averaging :func:`cross_layer_table`, the reference.
     """
     va, vb = g.view(alpha), g.view(beta)
-    out_a, in_a, out_b, in_b = va.csr("out"), va.csr("in"), vb.csr("out"), vb.csr("in")
+    out_a, in_a, out_b, in_b = va.out, va.inn, vb.out, vb.inn
     n = g.n_nodes
     return CrossLayerAverages(
         alpha=alpha,
@@ -197,17 +197,12 @@ def attribute_metrics(
     give 0.  The baseline ignores the layer entirely.
     """
     view = g.view(layer)
+    tokens = [table.tokens(label) for label in g.labels]
     records = []
-    for i in range(g.n_nodes):
-        mine = table.tokens(g.node_label(i))
-
-        def sim(j: int) -> float:
-            return jaccard(mine, table.tokens(g.node_label(j)))
-
-        succ = sorted(view.out_set(i))
-        pred = sorted(view.in_set(i))
-        out_sim = math.fsum(sim(j) for j in succ) / len(succ) if succ else 0.0
-        in_sim = math.fsum(sim(j) for j in pred) / len(pred) if pred else 0.0
+    # fsum is exactly rounded, so the order within a row does not matter
+    for i, (mine, succ, pred) in enumerate(zip(tokens, view.out.rows(), view.inn.rows())):
+        out_sim = math.fsum(jaccard(mine, tokens[j]) for j in succ) / len(succ) if succ else 0.0
+        in_sim = math.fsum(jaccard(mine, tokens[j]) for j in pred) / len(pred) if pred else 0.0
         records.append(AttributeMetrics(node=i, layer=layer, out_similarity=out_sim, in_similarity=in_sim))
     baseline = unnetworked_similarity(g.labels, table)
     return tuple(records), baseline

@@ -6,8 +6,7 @@ edge-set unions of basic layers and are materialized once at build time
 (metrics re-read them constantly, so laziness buys nothing).  Ties are
 binary and self-ties are rejected.  Everything is immutable after
 construction, which makes views safe to share across threads or worker
-processes without locking (a view's CSR cache is filled on first use,
-but two threads filling it at once store equal arrays).
+processes without locking.
 
 Validation lives here: :func:`build_graph` alone checks node labels and
 edges, and :func:`check_layers` alone checks layer declarations (for
@@ -18,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateLayerName,
@@ -77,83 +78,73 @@ class LayerSpec:
 
 
 class LayerView:
-    """Read-only adjacency view of a single layer, built from its edge set.
+    """Read-only adjacency of a single layer, stored as three CSR matrices.
 
-    Successor and predecessor sets are exposed as frozensets keyed by
-    dense node id.  They are the stored copy of the layer; :meth:`csr`
-    derives sorted CSR arrays from them on first use and keeps those
-    for the kernels.  Invariants: ``j in out_set(i)`` iff
-    ``i in in_set(j)``, and the out-degrees and in-degrees each sum to
-    the edge count.
+    ``out`` holds each node's successors, ``inn`` its predecessors and
+    ``und`` its neighbours ignoring direction (out ∪ in); node ids are
+    dense.  Each row keeps the iteration order of the frozenset the
+    build makes of it, never sorted: :func:`degree_assortativity` sums
+    along ``und`` rows, and its last digit depends on that order.
+    Invariants: ``inn`` is the transpose of ``out``, and each holds
+    ``n_edges`` entries.
     """
 
-    __slots__ = ("name", "n_nodes", "n_edges", "_out", "_in", "_csr")
+    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und")
 
     def __init__(self, name: str, n_nodes: int, edges: frozenset[Edge]):
-        out_sets = [set() for _ in range(n_nodes)]
-        in_sets = [set() for _ in range(n_nodes)]
+        succ = [set() for _ in range(n_nodes)]
+        pred = [set() for _ in range(n_nodes)]
         for i, j in edges:
-            out_sets[i].add(j)
-            in_sets[j].add(i)
+            succ[i].add(j)
+            pred[j].add(i)
+        succ = list(map(frozenset, succ))
+        pred = list(map(frozenset, pred))
         self.name = name
         self.n_nodes = n_nodes
         self.n_edges = len(edges)
-        self._out = tuple(map(frozenset, out_sets))
-        self._in = tuple(map(frozenset, in_sets))
-        self._csr: dict[str, CSR] = {}
+        self.out = CSR.from_sets(succ)
+        self.inn = CSR.from_sets(pred)
+        self.und = CSR.from_sets([s | p for s, p in zip(succ, pred)])
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
             raise UnknownNode(f"node id {i} out of range for layer '{self.name}'")
 
+    def _row(self, csr: CSR, i: int) -> np.ndarray:
+        self._check(i)
+        return csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
+
     def out_set(self, i: int) -> frozenset[int]:
         """Successors of ``i``: the nodes ``i`` names as ties."""
-        self._check(i)
-        return self._out[i]
+        return frozenset(self._row(self.out, i).tolist())
 
     def in_set(self, i: int) -> frozenset[int]:
         """Predecessors of ``i``: the nodes naming ``i`` as a tie."""
-        self._check(i)
-        return self._in[i]
+        return frozenset(self._row(self.inn, i).tolist())
 
     def out_degree(self, i: int) -> int:
-        return len(self.out_set(i))
+        return len(self._row(self.out, i))
 
     def in_degree(self, i: int) -> int:
-        return len(self.in_set(i))
+        return len(self._row(self.inn, i))
 
     def undirected_neighbors(self, i: int) -> frozenset[int]:
         """Nodes adjacent to ``i`` ignoring direction."""
-        self._check(i)
-        return self._out[i] | self._in[i]
+        return frozenset(self._row(self.und, i).tolist())
 
     def has_edge(self, i: int, j: int) -> bool:
-        self._check(i)
+        succ = self._row(self.out, i)
         self._check(j)
-        return j in self._out[i]
+        return j in succ.tolist()
 
     def edges(self) -> Iterator[Edge]:
         """All directed edges, sorted by (source, target) id."""
-        for i, succ in enumerate(self._out):
+        for i, succ in enumerate(self.out.rows()):
             for j in sorted(succ):
                 yield (i, j)
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset((i, j) for i, succ in enumerate(self._out) for j in succ)
-
-    def csr(self, kind: str) -> CSR:
-        """The ``"out"``, ``"in"`` or ``"undirected"`` neighbour sets as CSR, built once."""
-        if kind not in self._csr:
-            if kind == "out":
-                sets = self._out
-            elif kind == "in":
-                sets = self._in
-            elif kind == "undirected":
-                sets = [succ | pred for succ, pred in zip(self._out, self._in)]
-            else:
-                raise InvalidParameter(f"unknown adjacency kind '{kind}'")
-            self._csr[kind] = CSR.from_sets(sets)
-        return self._csr[kind]
+        return frozenset(self.edges())
 
 
 class MultiplexGraph:

@@ -1,4 +1,4 @@
-"""Intersection counts of sorted CSR neighbour rows, in numpy.
+"""Intersection counts of CSR neighbour rows, in numpy.
 
 Every Jaccard term in the metrics is one division of integer counts,
 |A ∩ B| / (|A| + |B| - |A ∩ B|), and a closed wedge is a common
@@ -8,13 +8,14 @@ such counts of one kernel call at once.
 Memory stays flat whatever the degrees: Q's rows are marked in a dense
 boolean block of at most 1 MiB, and P's rows are probed against it at
 most 2**15 entries at a time, so a hub of any degree never expands into
-one array proportional to the sum of its queries' row lengths.
+one array proportional to the sum of its queries' row lengths.  The
+counts do not depend on the order of the entries within a row.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import AbstractSet, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,18 +24,28 @@ _STEP = 1 << 15  # CSR entries gathered per numpy step
 
 
 class CSR(NamedTuple):
-    """Square sparse boolean matrix: row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]``, sorted."""
+    """Square sparse boolean matrix: row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]``.
+
+    Rows may be in any order.  Both arrays are read-only.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
 
     @classmethod
-    def from_sets(cls, sets: Sequence[AbstractSet[int]]) -> "CSR":
-        """Row ``i`` holds the members of ``sets[i]``, each in ``0..len(sets)-1``."""
+    def from_sets(cls, sets: Sequence[Collection[int]]) -> "CSR":
+        """Row ``i`` holds the members of ``sets[i]`` in iteration order, each in ``0..len(sets)-1``."""
         indptr = np.zeros(len(sets) + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
-        members = chain.from_iterable(map(sorted, sets))
-        return cls(indptr, np.fromiter(members, dtype=np.int32, count=int(indptr[-1])))
+        indices = np.fromiter(chain.from_iterable(sets), dtype=np.int32, count=int(indptr[-1]))
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return cls(indptr, indices)
+
+    def rows(self) -> list[list[int]]:
+        """Every row as a list of ints, in stored order."""
+        members, bounds = self.indices.tolist(), self.indptr.tolist()
+        return [members[s:e] for s, e in zip(bounds, bounds[1:])]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

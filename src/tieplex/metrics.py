@@ -164,7 +164,7 @@ def layer_metrics(view: LayerView) -> LayerMetrics:
     Bitwise equal to :func:`actor_metrics` per node, which is the
     reference; the counts come from one kernel call per metric.
     """
-    out, inn = view.csr("out"), view.csr("in")
+    out, inn = view.out, view.inn
     n = view.n_nodes
     reciprocated, recip = _node_terms(out, inn)
     cycles, cycle = _closure(out, inn, inn)

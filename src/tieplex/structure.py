@@ -83,6 +83,7 @@ def strongly_connected_components(view: LayerView) -> list[frozenset[int]]:
     result is deterministic and relabel-stable for a fixed id order.
     """
     n = view.n_nodes
+    successors = view.out.rows()
     order = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -97,7 +98,7 @@ def strongly_connected_components(view: LayerView) -> list[frozenset[int]]:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        frames: list[list] = [[root, 0, sorted(view.out_set(root))]]
+        frames: list[list] = [[root, 0, successors[root]]]
         while frames:
             frame = frames[-1]
             v, succ = frame[0], frame[2]
@@ -110,7 +111,7 @@ def strongly_connected_components(view: LayerView) -> list[frozenset[int]]:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    frames.append([w, 0, sorted(view.out_set(w))])
+                    frames.append([w, 0, successors[w]])
                     pushed = True
                     break
                 if on_stack[w] and order[w] < low[v]:
@@ -135,14 +136,18 @@ def strongly_connected_components(view: LayerView) -> list[frozenset[int]]:
 
 def induced_edge_count(view: LayerView, nodes: Iterable[int]) -> int:
     """Edges of the layer with both endpoints inside ``nodes``."""
-    member = frozenset(nodes)
-    return sum(len(view.out_set(i) & member) for i in member)
+    member = np.zeros(view.n_nodes, dtype=bool)
+    member[_members(view, nodes)] = True
+    return int(np.count_nonzero(np.repeat(member, view.out.degrees()) & member[view.out.indices]))
 
 
 def largest_scc(view: LayerView) -> frozenset[int]:
-    """Largest strongly connected component; ties go to the smallest node id."""
+    """Largest strongly connected component; ties go to the smallest node id.
+
+    A layer without nodes has no component and gives the empty set.
+    """
     components = strongly_connected_components(view)
-    return max(components, key=lambda c: (len(c), -min(c)))
+    return max(components, key=lambda c: (len(c), -min(c)), default=frozenset())
 
 
 def path_stats(view: LayerView, component: Iterable[int]) -> PathStats:
@@ -151,12 +156,11 @@ def path_stats(view: LayerView, component: Iterable[int]) -> PathStats:
     A singleton component has no pairs and reports (0.0, 0).  Raises
     NotStronglyConnected if any ordered pair has no directed path.
     """
-    members = sorted(component)
-    for m in members:
-        view.out_set(m)  # validates the id
+    members = _members(view, component)
     k = len(members)
     if k <= 1:
         return PathStats(0.0, 0)
+    successors = view.out.rows()
     total = 0
     diameter = 0
     for src in members:
@@ -167,7 +171,7 @@ def path_stats(view: LayerView, component: Iterable[int]) -> PathStats:
             d += 1
             nxt = []
             for u in frontier:
-                for w in view.out_set(u):
+                for w in successors[u]:
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
@@ -185,6 +189,15 @@ def path_stats(view: LayerView, component: Iterable[int]) -> PathStats:
     return PathStats(total / (k * (k - 1)), diameter)
 
 
+def _members(view: LayerView, nodes: Iterable[int]) -> list[int]:
+    """``nodes`` as a sorted list; an id outside the layer raises UnknownNode."""
+    members = sorted(nodes)
+    if members:
+        view._check(members[0])
+        view._check(members[-1])
+    return members
+
+
 def degree_assortativity(view: LayerView) -> float:
     """Pearson degree assortativity of the undirected projection.
 
@@ -193,20 +206,14 @@ def degree_assortativity(view: LayerView) -> float:
     when there is no edge or the endpoint degrees have zero variance
     (the degenerate-variance flag).
     """
-    n = view.n_nodes
-    und = [view.undirected_neighbors(i) for i in range(n)]
-    deg = [len(s) for s in und]
-    xs: list[float] = []
-    ys: list[float] = []
-    for i in range(n):
-        for j in und[i]:
-            if j > i:
-                xs.append(deg[i])
-                ys.append(deg[j])
-    if not xs:
+    deg = view.und.degrees()
+    # each undirected edge once, in stored row order: the sums depend on it
+    a, b = np.divmod(_linked_pairs(view, view.n_nodes), view.n_nodes)
+    xs, ys = deg[a], deg[b]
+    if not len(xs):
         return math.nan
-    x = np.array(xs + ys, dtype=float)
-    y = np.array(ys + xs, dtype=float)
+    x = np.concatenate((xs, ys)).astype(float)
+    y = np.concatenate((ys, xs)).astype(float)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return math.nan
     return float(np.corrcoef(x, y)[0, 1])
@@ -221,20 +228,14 @@ def directed_degree_assortativity(view: LayerView, source_mode: str, target_mode
     """
     if source_mode not in ("out", "in") or target_mode not in ("out", "in"):
         raise InvalidParameter("degree mode must be 'out' or 'in'")
-    n = view.n_nodes
-    out_deg = [view.out_degree(i) for i in range(n)]
-    in_deg = [view.in_degree(i) for i in range(n)]
-    src_deg = out_deg if source_mode == "out" else in_deg
-    dst_deg = out_deg if target_mode == "out" else in_deg
-    xs: list[float] = []
-    ys: list[float] = []
-    for i, j in view.edges():
-        xs.append(src_deg[i])
-        ys.append(dst_deg[j])
-    if not xs:
+    out = view.out
+    degree = {"out": out.degrees(), "in": view.inn.degrees()}
+    sources = out.row_ids()
+    order = np.lexsort((out.indices, sources))  # edges sorted by (source, target)
+    if not len(order):
         return math.nan
-    x = np.array(xs, dtype=float)
-    y = np.array(ys, dtype=float)
+    x = degree[source_mode][sources[order]].astype(float)
+    y = degree[target_mode][out.indices[order]].astype(float)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return math.nan
     return float(np.corrcoef(x, y)[0, 1])
@@ -304,10 +305,11 @@ def wedge_closure(
     ``"any"`` entry counts wedges closed by at least one closing layer.
     A closing layer listed twice raises :class:`InvalidParameter`.
     """
-    wedge = g.view(wedge_layer).csr("undirected")
-    closing = list(closing_layers)
-    for name in closing:
-        if closing.count(name) > 1:
+    wedge = g.view(wedge_layer).und
+    names = list(closing_layers)
+    views = [g.view(name) for name in names]  # an unknown layer is named before a repeated one
+    for name in names:
+        if names.count(name) > 1:
             raise InvalidParameter(f"closing layer '{name}' is listed more than once")
     n = g.n_nodes
     degree = wedge.degrees()
@@ -315,7 +317,7 @@ def wedge_closure(
 
     # A linked pair {a, b} closes one wedge per common neighbour of a and
     # b in the wedge layer, so count each pair of the union once.
-    pairs = {name: _linked_pairs(g.view(name), n) for name in closing}
+    pairs = {name: _linked_pairs(view, n) for name, view in zip(names, views)}
     union = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *pairs.values()]))
     a, b = np.divmod(union, n)
     fewer = degree[a] <= degree[b]  # walk the shorter row; the count is symmetric
@@ -329,8 +331,8 @@ def wedge_closure(
 
 
 def _linked_pairs(view: LayerView, n: int) -> np.ndarray:
-    """Sorted keys ``a * n + b``, a < b, of node pairs tied in either direction."""
-    und = view.csr("undirected")
+    """Keys ``a * n + b``, a < b, of node pairs tied in either direction, unsorted."""
+    und = view.und
     a = und.row_ids()
     upper = und.indices > a
     return a[upper] * n + und.indices[upper]
@@ -340,10 +342,7 @@ def layer_summary(view: LayerView) -> LayerSummary:
     """Assemble the structural summary row of one layer."""
     giant = largest_scc(view)
     scc_edges = induced_edge_count(view, giant)
-    if len(giant) >= 2:
-        stats = path_stats(view, giant)
-    else:
-        stats = PathStats(0.0, 0)
+    stats = path_stats(view, giant)
     n = view.n_nodes
     return LayerSummary(
         layer=view.name,

@@ -1,6 +1,6 @@
 import pytest
 
-from tieplex import LayerSpec, build_graph
+from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic
 
 
 def single(edges, n):
@@ -17,6 +17,20 @@ def two_layer(edges_a, edges_b, n):
     triples = [(str(i), str(j), "a") for i, j in edges_a]
     triples += [(str(i), str(j), "b") for i, j in edges_b]
     return build_graph(labels, specs, triples)
+
+
+def metric_corpus(count=200):
+    """Seeded multiplex graphs: n <= 15, two basic layers plus an aggregate, p = 0.2."""
+    for seed in range(count):
+        n = 2 + seed % 14
+        bias_a = (seed % 3) * 0.5
+        bias_b = ((seed // 3) % 3) * 0.5
+        g, _ = generate_synthetic(
+            seed, n,
+            [LayerParams("a", 0.2, bias_a), LayerParams("b", 0.2, bias_b)],
+            aggregates=[LayerSpec.aggregate("u", "a", "b")],
+        )
+        yield g
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ from tieplex.metrics import _mean
 from tieplex.structure import largest_scc
 
 import oracles
-from conftest import two_layer
+from conftest import metric_corpus, two_layer
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
 TOL = 1e-12
@@ -60,20 +60,6 @@ def criterion(num, name):
         print(f"ACCEPTANCE {num:2d} {name}: FAIL")
         raise
     print(f"ACCEPTANCE {num:2d} {name}: PASS ({time.perf_counter() - start:.2f}s)")
-
-
-def metric_corpus(count=200):
-    """Seeded multiplex graphs: n <= 15, two basic layers plus an aggregate, p = 0.2."""
-    for seed in range(count):
-        n = 2 + seed % 14
-        bias_a = (seed % 3) * 0.5
-        bias_b = ((seed // 3) % 3) * 0.5
-        g, _ = generate_synthetic(
-            seed, n,
-            [LayerParams("a", 0.2, bias_a), LayerParams("b", 0.2, bias_b)],
-            aggregates=[LayerSpec.aggregate("u", "a", "b")],
-        )
-        yield g
 
 
 def test_criterion_1_metric_oracle_equivalence():

@@ -1,4 +1,7 @@
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from tieplex import (
     build_graph,
 )
 
-from conftest import single
+from conftest import metric_corpus, single
 
 
 def simple_graph():
@@ -74,6 +77,65 @@ def test_out_in_sets():
     v = single([(0, 1), (1, 0), (0, 2)], 3)
     assert v.out_set(0) == {1, 2}
     assert v.in_set(0) == {1}
+    assert v.undirected_neighbors(2) == {0}
+    # the stored layer: three CSR matrices, rows in any order
+    assert v.out.indptr.tolist() == [0, 2, 3, 3]
+    assert sorted(v.out.indices[:2].tolist()) == [1, 2]
+    assert v.inn.rows() == [[1], [0], [0]]
+    assert [sorted(row) for row in v.und.rows()] == [[1, 2], [0], [0]]
+
+
+def test_csr_matrices_agree_over_corpus():
+    for g in metric_corpus(200):
+        for name in g.layer_names:
+            v = g.view(name)
+            out_pairs = sorted(zip(v.out.row_ids().tolist(), v.out.indices.tolist()))
+            in_pairs = sorted(zip(v.inn.indices.tolist(), v.inn.row_ids().tolist()))
+            assert out_pairs == in_pairs  # inn is the transpose of out
+            assert v.n_edges == len(v.out.indices) == len(v.inn.indices)
+            for i, row in enumerate(v.und.rows()):
+                assert len(row) == len(set(row))
+                assert set(row) == v.out_set(i) | v.in_set(i)
+
+
+@pytest.mark.parametrize("kind", ["out", "inn", "und"])
+@pytest.mark.parametrize("array", ["indptr", "indices"])
+def test_view_arrays_are_read_only(kind, array):
+    v = single([(0, 1), (1, 2)], 3)
+    stored = getattr(getattr(v, kind), array)
+    with pytest.raises(ValueError):
+        stored[0] = 1
+
+
+def test_build_graph_retains_few_bytes_per_edge():
+    # four sparse basic layers (mean out-degree 4, n = 2000) and three
+    # aggregates; neighbour frozensets kept about 169 bytes per edge here
+    rng = random.Random(3)
+    n = 2000
+    labels = [f"n{k}" for k in range(n)]
+    basics = ["strong_off", "weak_off", "strong_on", "weak_on"]
+    specs = [LayerSpec.basic(name) for name in basics] + [
+        LayerSpec.aggregate("strong", "strong_off", "strong_on"),
+        LayerSpec.aggregate("weak", "weak_off", "weak_on"),
+        LayerSpec.aggregate("all", *basics),
+    ]
+    edges = []
+    for name in basics:
+        ties = set()
+        while len(ties) < 4 * n:
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                ties.add((i, j))
+        edges += [(labels[i], labels[j], name) for i, j in sorted(ties)]
+    tracemalloc.start()
+    try:
+        g = build_graph(labels, specs, edges)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stored = sum(g.view(name).n_edges for name in g.layer_names)
+    assert stored > 12 * n
+    assert retained / stored < 32
 
 
 def test_node_id_errors():

@@ -250,6 +250,40 @@ def test_cli_attrs_missing_attributes_exit_2(tiny, capsys):
 def test_cli_unknown_layer_exit_2(capsys):
     code = run_cli("equiv", "--manifest", str(DATA / "manifest.json"), "--layer", "nope")
     assert code == 2
+    capsys.readouterr()
+    # the unknown closing layer is named, not reported as listed twice
+    code = run_cli(
+        "wedges", "--manifest", str(DATA / "manifest.json"),
+        "--wedge-layer", "all", "--closing-layers", ",",
+    )
+    assert code == 2
+    assert "unknown layer ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["summary"], ["endogenous"], ["cross"], ["equiv", "--layer", "all"],
+        ["wedges", "--wedge-layer", "all"], ["attrs", "--layer", "all"],
+    ],
+    ids=lambda verb: verb[0],
+)
+def test_cli_reports_on_graph_without_nodes(tmp_path, capsys, verb):
+    (tmp_path / "nodes.txt").write_text("", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("source,target,layer\n", encoding="utf-8")
+    (tmp_path / "attributes.csv").write_text("node,key,value\n", encoding="utf-8")
+    layers = [{"name": "a"}, {"name": "all", "kind": "aggregate", "constituents": ["a"]}]
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({
+            "nodes": "nodes.txt", "edges": "edges.csv", "attributes": "attributes.csv",
+            "layers": layers, "pairs": [["a", "all"]],
+        }),
+        encoding="utf-8",
+    )
+    assert run_cli(*verb, "--manifest", str(tmp_path / "manifest.json"), "--format", "json") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    jsonschema.validate(json.loads(captured.out), load_report_schema())
 
 
 def test_cli_repeated_closing_layer_exit_2(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from tieplex import (
     wedge_closure,
 )
 
-from conftest import single, two_layer
+from conftest import metric_corpus, single, two_layer
 
 
 def test_scc_three_cycle(three_cycle):
@@ -85,6 +86,37 @@ def test_assortativity_matches_sum_formula_oracle():
             assert math.isnan(got)
         else:
             assert got == pytest.approx(expected, abs=1e-9)
+
+
+def pearson_of_pairs(pairs):
+    """np.corrcoef over (x, y) pairs appended one by one, NaN when degenerate."""
+    if not pairs:
+        return math.nan
+    x = np.array([p[0] for p in pairs], dtype=float)
+    y = np.array([p[1] for p in pairs], dtype=float)
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        return math.nan
+    return float(np.corrcoef(x, y)[0, 1])
+
+
+def test_assortativities_equal_edge_loop_bitwise():
+    # the vectorised sums must keep the loop's order: stored und rows
+    # for the undirected projection, sorted edges for the directed modes
+    for g in metric_corpus(200):
+        for name in g.layer_names:
+            v = g.view(name)
+            und = v.und.rows()
+            deg = [len(row) for row in und]
+            half = [(deg[i], deg[j]) for i in range(v.n_nodes) for j in und[i] if j > i]
+            both = half + [(b, a) for a, b in half]
+            assert repr(degree_assortativity(v)) == repr(pearson_of_pairs(both))
+            degree = {"out": [v.out_degree(i) for i in range(v.n_nodes)],
+                      "in": [v.in_degree(i) for i in range(v.n_nodes)]}
+            for a in ("out", "in"):
+                for b in ("out", "in"):
+                    pairs = [(degree[a][i], degree[b][j]) for i, j in v.edges()]
+                    got = directed_degree_assortativity(v, a, b)
+                    assert repr(got) == repr(pearson_of_pairs(pairs))
 
 
 def test_directed_assortativity_modes():
@@ -215,6 +247,12 @@ def test_layer_summary_empty():
     s = layer_summary(single([], 5))
     assert s.n_edges == 0
     assert s.scc_nodes == 1
+    assert (s.avg_path, s.diameter) == (0.0, 0)
+    assert math.isnan(s.assortativity)
+    # no nodes at all: no component, so 0 SCC nodes
+    s = layer_summary(single([], 0))
+    assert (s.n_nodes, s.n_edges, s.avg_total_degree) == (0, 0, 0.0)
+    assert (s.scc_nodes, s.scc_edges) == (0, 0)
     assert (s.avg_path, s.diameter) == (0.0, 0)
     assert math.isnan(s.assortativity)
 
