@@ -120,20 +120,20 @@ def _run(args: argparse.Namespace) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         text = _run(args)
+        if out and args.command != "generate":
+            with open(Path(out), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (TieplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation, never expected
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    out = getattr(args, "out", None)
-    if out and args.command != "generate":
-        with open(Path(out), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -17,6 +17,7 @@ two layers: the out variant reads as consistency of tie-making
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -172,19 +173,29 @@ def unnetworked_similarity(labels: Iterable[str], table: AttributeTable) -> floa
     """Average attribute similarity over all unordered node pairs.
 
     The edge-free baseline the per-tie similarities are compared
-    against.  fsum makes the value exactly invariant under relabeling.
+    against.  Nodes with equal token sets form a class, so ``jaccard``
+    runs once per pair of classes (a class of c nodes also pairs with
+    itself, c(c-1)/2 times) and each distinct term is weighted by the
+    number of node pairs that have it.  The weighted terms are summed
+    exactly as integers over a common power-of-two denominator and
+    rounded once by int/int division, which is correctly rounded: the
+    result equals ``math.fsum`` over every node pair bit for bit, and
+    is exactly invariant under relabeling.
     """
-    labels = list(labels)
-    n = len(labels)
+    classes = list(Counter(table.tokens(label) for label in labels).items())
+    n = sum(count for _, count in classes)
     pairs = n * (n - 1) // 2
     if pairs == 0:
         return 0.0
-    terms = [
-        attribute_similarity(table, labels[i], labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    return math.fsum(terms) / pairs
+    weights: Counter[float] = Counter()  # term -> node pairs with that term
+    for x, (tokens_x, count_x) in enumerate(classes):
+        weights[jaccard(tokens_x, tokens_x)] += count_x * (count_x - 1) // 2
+        for tokens_y, count_y in classes[x + 1:]:
+            weights[jaccard(tokens_x, tokens_y)] += count_x * count_y
+    ratios = [term.as_integer_ratio() for term in weights]
+    scale = max(den for _, den in ratios)  # every denominator is a power of two
+    exact = sum(w * num * (scale // den) for w, (num, den) in zip(weights.values(), ratios))
+    return exact / scale / pairs
 
 
 def attribute_metrics(

@@ -297,9 +297,16 @@ def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
     """Read all files of a manifest and build the graph and attribute table.
 
     Edge records carry their lines into :func:`build_graph`, which checks them.
+    Given a manifest path, a data file it names that cannot be opened is
+    an input error of the manifest, and the message names both files.
     """
     if not isinstance(manifest, DatasetManifest):
-        manifest = load_manifest(manifest)
+        path = Path(manifest)
+        manifest = load_manifest(path)
+        try:
+            return load_dataset(manifest)
+        except OSError as exc:
+            raise InvalidParameter(f"{path}: {exc}") from None
 
     with _open_input(manifest.nodes_path) as fh:
         labels = parse_nodes(fh)

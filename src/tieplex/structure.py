@@ -252,41 +252,47 @@ def structural_equivalence(
     Classes satisfy the pairwise condition |delta| <= tolerance on all
     three metrics.  Grouping is a deterministic greedy partition seeded
     by ascending node id (for tolerance 0 this is exactly the partition
-    by equal triples).  The optional degree filter restricts grouping
-    to nodes with the given out- and/or in-degree.
+    by equal triples).  One vectorised comparison with each seed picks
+    the only nodes that can join its class, so the Python work grows
+    with those candidates, not with every remaining node.  The optional
+    degree filter restricts grouping to nodes with the given out- and/or
+    in-degree.
     """
     if not tolerance >= 0:  # also rejects NaN
         raise InvalidParameter(f"tolerance must be >= 0, got {tolerance!r}")
-    actors = layer_metrics(view).actors
-    remaining = [
+    actors = [
         a
-        for a in actors
+        for a in layer_metrics(view).actors
         if (out_degree is None or a.out_degree == out_degree)
         and (in_degree is None or a.in_degree == in_degree)
     ]
+    triples = [(a.reciprocity, a.cycle_closure, a.triplet_closure) for a in actors]
+    packed = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    alive = np.ones(len(actors), dtype=bool)
     classes: list[EquivalenceClass] = []
-    while remaining:
-        seed = remaining.pop(0)
+    for seed in range(len(actors)):
+        if not alive[seed]:
+            continue
+        # Only nodes within the tolerance of the seed can join its class;
+        # every alive node comes after the seed, and the seed is near[0].
+        near = np.flatnonzero(alive & (np.abs(packed - packed[seed]) <= tolerance).all(axis=1))
         members = [seed]
-        rest = []
-        for cand in remaining:
-            close = all(
-                abs(cand.reciprocity - m.reciprocity) <= tolerance
-                and abs(cand.cycle_closure - m.cycle_closure) <= tolerance
-                and abs(cand.triplet_closure - m.triplet_closure) <= tolerance
-                for m in members
-            )
-            if close:
+        lo = hi = triples[seed]
+        for cand in near[1:].tolist():
+            t = triples[cand]
+            # Rounded subtraction is monotone and x - y == -(y - x) exactly,
+            # so |t - m| <= tolerance holds for every member m exactly when
+            # it holds for the per-metric minimum and maximum of the members.
+            if all(x - low <= tolerance and high - x <= tolerance for x, low, high in zip(t, lo, hi)):
                 members.append(cand)
-            else:
-                rest.append(cand)
-        remaining = rest
+                lo, hi = tuple(map(min, lo, t)), tuple(map(max, hi, t))
+        alive[members] = False
         classes.append(
             EquivalenceClass(
-                members=tuple(m.node for m in members),
-                reciprocity=seed.reciprocity,
-                cycle_closure=seed.cycle_closure,
-                triplet_closure=seed.triplet_closure,
+                members=tuple(actors[m].node for m in members),
+                reciprocity=actors[seed].reciprocity,
+                cycle_closure=actors[seed].cycle_closure,
+                triplet_closure=actors[seed].triplet_closure,
                 tolerance=tolerance,
             )
         )

@@ -2,12 +2,17 @@
 
 Everything here evaluates the defining formulas literally on adjacency
 matrices (triple loops, matrix closure, explicit correlation sums) and
-shares no code with the library paths it checks.
+shares no code with the library paths it checks; only the
+``EquivalenceClass`` record type is imported.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from tieplex.structure import EquivalenceClass
 
 
 def view_matrix(view) -> list[list[int]]:
@@ -159,6 +164,56 @@ def attr_baseline(tokens: list[frozenset]) -> float:
         token_jaccard(tokens[i], tokens[j]) for i in range(n) for j in range(i + 1, n)
     )
     return 2.0 * total / (n * (n - 1))
+
+
+def attr_baseline_fsum(tokens: list[frozenset]) -> float:
+    """Mean term over all unordered pairs: ``math.fsum`` of each pair's term, over the pair count."""
+    n = len(tokens)
+    pairs = n * (n - 1) // 2
+    if pairs == 0:
+        return 0.0
+    terms = [token_jaccard(tokens[i], tokens[j]) for i in range(n) for j in range(i + 1, n)]
+    return math.fsum(terms) / pairs
+
+
+def equivalence_greedy(actors, tolerance: float, out_degree=None, in_degree=None) -> list[EquivalenceClass]:
+    """Greedy grouping by ascending node id, checking each candidate against every member.
+
+    ``actors`` are the per-node records of ``layer_metrics``.
+    """
+    remaining = [
+        a
+        for a in actors
+        if (out_degree is None or a.out_degree == out_degree)
+        and (in_degree is None or a.in_degree == in_degree)
+    ]
+    classes = []
+    while remaining:
+        seed = remaining.pop(0)
+        members = [seed]
+        rest = []
+        for cand in remaining:
+            close = all(
+                abs(cand.reciprocity - m.reciprocity) <= tolerance
+                and abs(cand.cycle_closure - m.cycle_closure) <= tolerance
+                and abs(cand.triplet_closure - m.triplet_closure) <= tolerance
+                for m in members
+            )
+            if close:
+                members.append(cand)
+            else:
+                rest.append(cand)
+        remaining = rest
+        classes.append(
+            EquivalenceClass(
+                members=tuple(m.node for m in members),
+                reciprocity=seed.reciprocity,
+                cycle_closure=seed.cycle_closure,
+                triplet_closure=seed.triplet_closure,
+                tolerance=tolerance,
+            )
+        )
+    return classes
 
 
 def reachability(x) -> np.ndarray:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +158,57 @@ def test_baseline_invariant_under_relabeling(seed):
     assert unnetworked_similarity(reversed_labels, attrs) == base
     rotated = list(g.labels[3:]) + list(g.labels[:3])
     assert unnetworked_similarity(rotated, attrs) == base
+
+
+def criterion_10_tables():
+    """The labels and attribute tables of acceptance criterion 10."""
+    for seed in range(50):
+        n = 3 + seed % 10
+        g, attrs = generate_synthetic(
+            3000 + seed, n, [LayerParams("L", 0.3, 0.4)],
+            attributes={"c1": ("p", "q"), "c2": ("r", "s", "t")},
+        )
+        kept = {label: attrs.tokens(label) for k, label in enumerate(g.labels) if k % 4 != 0}
+        yield g.labels, AttributeTable(kept)
+
+
+# distinct sets of 2 to 8 tokens, so the terms have many denominators
+DISTINCT = AttributeTable(
+    {str(i): {f"id:{i}", f"m:{i % 3}", *(f"k:{k}" for k in range(i % 7))} for i in range(40)}
+)
+BASELINE_CASES = {
+    "n=0": ([], AttributeTable()),
+    "n=1": (["1"], AttributeTable({"1": {"x:1"}})),
+    "n=2": (["1", "2"], AttributeTable({"1": {"x:1", "y:1"}, "2": {"x:1"}})),
+    "all empty": ([str(i) for i in range(6)], AttributeTable()),
+    "missing labels": (["1", "2", "3", "4"], AttributeTable({"1": {"x:1"}, "3": {"x:1", "y:2"}})),
+    "one class": ([str(i) for i in range(9)], AttributeTable({str(i): {"x:1", "y:2"} for i in range(9)})),
+    "all distinct": ([str(i) for i in range(40)], DISTINCT),
+    "repeated labels": (["1", "2", "1", "3", "2", "1"], AttributeTable({"1": {"x:1"}, "2": {"x:1", "y:1"}})),
+}
+
+
+@pytest.mark.parametrize("case", BASELINE_CASES)
+def test_baseline_equals_pair_loop_bitwise(case):
+    labels, table = BASELINE_CASES[case]
+    tokens = [table.tokens(label) for label in labels]
+    assert unnetworked_similarity(labels, table) == oracles.attr_baseline_fsum(tokens)
+
+
+def test_baseline_equals_pair_loop_bitwise_on_criterion_10_corpus():
+    for labels, table in criterion_10_tables():
+        tokens = [table.tokens(label) for label in labels]
+        assert unnetworked_similarity(labels, table) == oracles.attr_baseline_fsum(tokens)
+
+
+def test_baseline_memory_grows_with_classes_not_pairs():
+    # 18 token classes over 4000 nodes: about 8M node pairs
+    table = AttributeTable({str(i): {f"g:{i % 2}", f"d:{i % 9}"} for i in range(4000)})
+    labels = [str(i) for i in range(4000)]
+    tracemalloc.start()
+    try:
+        unnetworked_similarity(labels, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

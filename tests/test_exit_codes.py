@@ -2,6 +2,7 @@
 
 Every report verb and ``validate`` must exit 0 or 2 on any input, never
 3 (an internal error), and must write to stderr exactly when it fails.
+When loading fails, the message names the input file at fault.
 """
 
 import contextlib
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tieplex import write_demo_dataset
+from tieplex import TieplexError, load_dataset, load_manifest, write_demo_dataset
 from tieplex.cli import main
 
 FILES = ("manifest.json", "nodes.txt", "edges.csv", "attributes.csv")
@@ -59,6 +60,11 @@ def test_corrupted_inputs_exit_0_or_2(tmp_path_factory, originals, data):
     root = tmp_path_factory.mktemp("mutated")
     for name, content in files.items():
         (root / name).write_bytes(content)
+    for load in (load_manifest, load_dataset):
+        try:
+            load(root / "manifest.json")
+        except (TieplexError, OSError) as exc:
+            assert any(name in str(exc) for name in FILES), (load.__name__, changes, str(exc))
     for verb in VERBS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

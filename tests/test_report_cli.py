@@ -304,6 +304,15 @@ def test_cli_bad_manifest_exit_2(tmp_path, capsys):
     assert run_cli("summary", "--manifest", str(missing)) == 2
 
 
+def test_cli_unwritable_out_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert run_cli("endogenous", "--manifest", str(DATA / "manifest.json"), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(out) in captured.err
+    assert captured.out == ""
+
+
 def test_cli_validate_ok(capsys):
     assert run_cli("validate", "--manifest", str(DATA / "manifest.json")) == 0
     assert "manifest ok" in capsys.readouterr().out
@@ -355,10 +364,11 @@ def test_summary_bytes_independent_of_edge_row_order(tmp_path, capsys):
         ("edges.csv", b"source,target,layer\na,b,\xff\n", "UTF-8"),
         ("manifest.json", b'{"nodes": "\xff"}', "UTF-8"),
         ("manifest.json", '{"nodes": "nodes.txt", "edges": "edges.csv", "layers": 5}', "'layers'"),
+        ("manifest.json", '{"nodes": "nodes.txt", "edges": "gone.csv", "layers": [{"name": "x"}]}', "gone.csv"),
     ],
     ids=[
         "self-tie", "unknown-node", "aggregate-edge", "duplicate-label",
-        "edges-not-utf8", "manifest-not-utf8", "manifest-field-type",
+        "edges-not-utf8", "manifest-not-utf8", "manifest-field-type", "manifest-names-missing-file",
     ],
 )
 def test_cli_bad_input_exit_2_names_file(tmp_path, capsys, name, content, where):

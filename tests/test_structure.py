@@ -1,4 +1,8 @@
+import functools
 import math
+import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from tieplex import (
     generate_synthetic,
     induced_edge_count,
     largest_scc,
+    layer_metrics,
     layer_summary,
     path_stats,
     strongly_connected_components,
@@ -193,6 +198,44 @@ def test_structural_equivalence_relabel_invariant():
     c1 = {frozenset(perm[m] for m in c.members) for c in structural_equivalence(v1, 0.0)}
     c2 = {frozenset(c.members) for c in structural_equivalence(v2, 0.0)}
     assert c1 == c2
+
+
+EQUIV_TOLERANCES = (0.0, 0.01, 0.1, 0.5, math.inf)
+DEGREE_FILTERS = ((None, None), (1, None), (None, 1), (1, 1))
+
+
+def test_structural_equivalence_matches_greedy_reference(monkeypatch):
+    # each view is grouped 20 times, so its metrics are computed once
+    monkeypatch.setattr("tieplex.structure.layer_metrics", functools.cache(layer_metrics))
+    for g in metric_corpus():
+        for name in g.layer_names:
+            v = g.view(name)
+            actors = layer_metrics(v).actors
+            for tolerance in EQUIV_TOLERANCES:
+                for out_degree, in_degree in DEGREE_FILTERS:
+                    want = oracles.equivalence_greedy(actors, tolerance, out_degree, in_degree)
+                    assert structural_equivalence(v, tolerance, out_degree, in_degree) == want
+
+
+def test_structural_equivalence_matches_greedy_reference_on_rounding_edges(monkeypatch):
+    # Differences of tenths round to either side of the tenths themselves
+    # (0.3 - 0.2 < 0.1 < 0.8 - 0.7), so the grouping must compare the same
+    # rounded differences as the reference to give the same classes.
+    v = single([], 60)
+    template = layer_metrics(v).actors[0]
+    grid = [k / 10 for k in range(11)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        actors = tuple(
+            replace(
+                template, node=i,
+                reciprocity=rng.choice(grid), cycle_closure=rng.choice(grid), triplet_closure=rng.choice(grid),
+            )
+            for i in range(60)
+        )
+        monkeypatch.setattr("tieplex.structure.layer_metrics", lambda view: SimpleNamespace(actors=actors))
+        for tolerance in (0.1, 0.2, 0.3, 0.5):
+            assert structural_equivalence(v, tolerance) == oracles.equivalence_greedy(actors, tolerance)
 
 
 def test_wedge_single_closed():
