@@ -15,7 +15,7 @@ from pathlib import Path
 from . import report as rpt
 from .errors import TieplexError
 from .io import load_dataset, load_manifest
-from .synth import DEMO_NODES, DEMO_SEED, write_demo_dataset
+from .synth import DEMO_NODES, DEMO_SEED, MAX_NODES, write_demo_dataset
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write the seeded synthetic demo dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=DEMO_SEED)
-    p.add_argument("--nodes", type=int, default=DEMO_NODES)
+    p.add_argument("--nodes", type=int, default=DEMO_NODES, help=f"node count, 2 to {MAX_NODES}")
 
     p = sub.add_parser("validate", help="check a manifest without loading data files")
     p.add_argument("--manifest", required=True)

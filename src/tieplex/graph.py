@@ -82,29 +82,61 @@ class LayerView:
 
     ``out`` holds each node's successors, ``inn`` its predecessors and
     ``und`` its neighbours ignoring direction (out ∪ in); node ids are
-    dense.  Each row keeps the iteration order of the frozenset the
-    build makes of it, never sorted: :func:`degree_assortativity` sums
-    along ``und`` rows, and its last digit depends on that order.
-    Invariants: ``inn`` is the transpose of ``out``, and each holds
-    ``n_edges`` entries.
+    dense and every row is sorted.  Invariants: ``inn`` is the
+    transpose of ``out``, and each holds ``n_edges`` entries.
+
+    ``keys`` are the layer's ties ``i * n_nodes + j``, sorted and
+    unique.  ``sources`` holds, for each basic layer the view is made
+    of, the keys of its ties in the order each tie first appears in the
+    input; ``aggregate`` tells an aggregate from a basic layer.  They
+    serve :func:`degree_assortativity` alone, which sums in the row
+    order of an earlier set-based build and replays that order from
+    them (see :meth:`_und_in_set_order`).
     """
 
-    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und")
+    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und", "_sources", "_aggregate")
 
-    def __init__(self, name: str, n_nodes: int, edges: frozenset[Edge]):
-        succ = [set() for _ in range(n_nodes)]
-        pred = [set() for _ in range(n_nodes)]
+    def __init__(
+        self,
+        name: str,
+        n_nodes: int,
+        keys: np.ndarray,
+        sources: tuple[np.ndarray, ...],
+        aggregate: bool,
+    ):
+        rows, cols = np.divmod(keys, n_nodes)
+        transposed = np.sort(cols * n_nodes + rows)
+        self.name = name
+        self.n_nodes = n_nodes
+        self.n_edges = len(keys)
+        self.out = CSR.from_keys(keys, n_nodes)
+        self.inn = CSR.from_keys(transposed, n_nodes)
+        self.und = CSR.from_keys(_merge(keys, transposed), n_nodes)
+        self._sources = sources
+        self._aggregate = aggregate
+
+    def _und_in_set_order(self) -> CSR:
+        """``und`` with each row in the iteration order of the set-based build.
+
+        That build put each layer's ties, in input order, into a set of
+        ``(i, j)`` tuples (an aggregate: the union of its basic layers'
+        sets), then filled per-node successor and predecessor frozensets
+        from it and stored their unions as rows.  Replaying it from the
+        first occurrences gives the same tables, since a repeated tie
+        left a set unchanged; int and int-tuple hashes are not
+        randomised, so the order is the same in every run.
+        """
+        n = self.n_nodes
+        layers = [set(zip(*(part.tolist() for part in np.divmod(keys, n)))) for keys in self._sources]
+        edges = frozenset(set().union(*layers)) if self._aggregate else frozenset(layers[0])
+        succ = [set() for _ in range(n)]
+        pred = [set() for _ in range(n)]
         for i, j in edges:
             succ[i].add(j)
             pred[j].add(i)
         succ = list(map(frozenset, succ))
         pred = list(map(frozenset, pred))
-        self.name = name
-        self.n_nodes = n_nodes
-        self.n_edges = len(edges)
-        self.out = CSR.from_sets(succ)
-        self.inn = CSR.from_sets(pred)
-        self.und = CSR.from_sets([s | p for s, p in zip(succ, pred)])
+        return CSR.from_sets([s | p for s, p in zip(succ, pred)])
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
@@ -140,7 +172,7 @@ class LayerView:
     def edges(self) -> Iterator[Edge]:
         """All directed edges, sorted by (source, target) id."""
         for i, succ in enumerate(self.out.rows()):
-            for j in sorted(succ):
+            for j in succ:
                 yield (i, j)
 
     def edge_set(self) -> frozenset[Edge]:
@@ -287,30 +319,63 @@ def build_graph(
 
     specs = list(layer_specs)
     check_layers(specs)
-    edge_sets: dict[str, set[Edge]] = {s.name: set() for s in specs if s.kind == "basic"}
-    rows = dict.fromkeys((s.name for s in specs), 0)
-    for edge in edges:
-        src, dst, layer = edge[0], edge[1], edge[2]
-        if src not in index or dst not in index:
-            raise UnknownNode(f"{_where(edge)}: unknown node '{dst if src in index else src}'")
-        if layer not in edge_sets:
-            if layer in rows:  # declared, so an aggregate
-                raise UnknownLayer(f"{_where(edge)}: '{layer}' is an aggregate, edges go in basic layers")
-            raise UnknownLayer(f"{_where(edge)}: unknown layer '{layer}'")
-        if src == dst:
-            raise SelfTie(f"{_where(edge)}: self-tie on '{src}' is not allowed")
-        edge_sets[layer].add((index[src], index[dst]))
-        rows[layer] += 1
-    duplicates = {name: count - len(edge_sets.get(name, ())) for name, count in rows.items()}
+    n = len(labels)
+    basics = [s.name for s in specs if s.kind == "basic"]
+    codes = {s.name: -2 for s in specs}  # an aggregate's code; unknown layers get -1
+    codes.update((name, k) for k, name in enumerate(basics))
+    records = edges if isinstance(edges, list) else list(edges)
+    src = np.fromiter((index.get(e[0], -1) for e in records), dtype=np.int64, count=len(records))
+    dst = np.fromiter((index.get(e[1], -1) for e in records), dtype=np.int64, count=len(records))
+    layer = np.fromiter((codes.get(e[2], -1) for e in records), dtype=np.int64, count=len(records))
+    bad = (src < 0) | (dst < 0) | (layer < 0) | (src == dst)
+    if bad.any():
+        _reject(records[int(np.argmax(bad))], index, codes)
 
-    # Each view walks its layer's edge frozenset, never the input rows:
-    # degree_assortativity sums in set-iteration order, so row order would
-    # otherwise reach the report bytes.
+    # Per basic layer: its sorted unique keys, and the keys of the first
+    # occurrence of each tie in input order (a stable sort ranks the
+    # first occurrence first among equal keys).
+    keys = src * n + dst
+    del src, dst
+    ranked: dict[str, np.ndarray] = {}
+    sources: dict[str, np.ndarray] = {}
+    duplicates = dict.fromkeys((s.name for s in specs), 0)
+    for k, name in enumerate(basics):
+        layer_keys = keys[layer == k]
+        order = np.argsort(layer_keys, kind="stable")
+        first = _firsts(layer_keys[order])
+        ranked[name] = layer_keys[order[first]]
+        sources[name] = layer_keys[np.sort(order[first])]
+        duplicates[name] = len(layer_keys) - len(ranked[name])
+
     views = {}
     for spec in specs:
-        if spec.kind == "basic":
-            layer_edges = frozenset(edge_sets[spec.name])
-        else:
-            layer_edges = frozenset(set().union(*(edge_sets[c] for c in spec.constituents)))
-        views[spec.name] = LayerView(spec.name, len(labels), layer_edges)
+        parts = spec.constituents or (spec.name,)
+        union = _merge(*(ranked[c] for c in parts))
+        aggregate = spec.kind == "aggregate"
+        views[spec.name] = LayerView(spec.name, n, union, tuple(sources[c] for c in parts), aggregate)
     return MultiplexGraph(labels, specs, views, duplicates)
+
+
+def _reject(edge, index: Mapping[str, int], codes: Mapping[str, int]) -> None:
+    """Raise the error of one bad edge record, checked in the documented order."""
+    src, dst, layer = edge[0], edge[1], edge[2]
+    if src not in index or dst not in index:
+        raise UnknownNode(f"{_where(edge)}: unknown node '{dst if src in index else src}'")
+    if layer not in codes:
+        raise UnknownLayer(f"{_where(edge)}: unknown layer '{layer}'")
+    if codes[layer] < 0:  # declared, so an aggregate
+        raise UnknownLayer(f"{_where(edge)}: '{layer}' is an aggregate, edges go in basic layers")
+    raise SelfTie(f"{_where(edge)}: self-tie on '{src}' is not allowed")
+
+
+def _firsts(ranked: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    first = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return first
+
+
+def _merge(*sorted_keys: np.ndarray) -> np.ndarray:
+    """Sorted union of sorted arrays (a stable sort merges their runs)."""
+    merged = np.sort(np.concatenate(sorted_keys), kind="stable")
+    return merged[_firsts(merged)]

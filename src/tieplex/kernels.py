@@ -38,6 +38,21 @@ class CSR(NamedTuple):
         indptr = np.zeros(len(sets) + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
         indices = np.fromiter(chain.from_iterable(sets), dtype=np.int32, count=int(indptr[-1]))
+        return cls._frozen(indptr, indices)
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n: int) -> "CSR":
+        """The ``n`` x ``n`` matrix with an entry ``(i, j)`` per key ``i * n + j``.
+
+        ``keys`` must be sorted and unique, so every row comes out sorted.
+        """
+        rows, cols = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls._frozen(indptr, cols.astype(np.int32))
+
+    @classmethod
+    def _frozen(cls, indptr: np.ndarray, indices: np.ndarray) -> "CSR":
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return cls(indptr, indices)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotStronglyConnected
 from .graph import LayerView, MultiplexGraph
-from .kernels import intersection_counts
+from .kernels import CSR, intersection_counts
 from .metrics import layer_metrics
 
 
@@ -207,8 +207,9 @@ def degree_assortativity(view: LayerView) -> float:
     (the degenerate-variance flag).
     """
     deg = view.und.degrees()
-    # each undirected edge once, in stored row order: the sums depend on it
-    a, b = np.divmod(_linked_pairs(view, view.n_nodes), view.n_nodes)
+    # each undirected edge once, in the row order of the set-based build:
+    # np.corrcoef rounds differently under another order
+    a, b = np.divmod(_linked_pairs(view._und_in_set_order(), view.n_nodes), view.n_nodes)
     xs, ys = deg[a], deg[b]
     if not len(xs):
         return math.nan
@@ -274,8 +275,10 @@ def structural_equivalence(
         if not alive[seed]:
             continue
         # Only nodes within the tolerance of the seed can join its class;
-        # every alive node comes after the seed, and the seed is near[0].
-        near = np.flatnonzero(alive & (np.abs(packed - packed[seed]) <= tolerance).all(axis=1))
+        # every alive node comes after the seed, so only the rows from the
+        # seed on are compared, and the seed is near[0].
+        rest = packed[seed:]
+        near = seed + np.flatnonzero(alive[seed:] & (np.abs(rest - rest[0]) <= tolerance).all(axis=1))
         members = [seed]
         lo = hi = triples[seed]
         for cand in near[1:].tolist():
@@ -323,7 +326,7 @@ def wedge_closure(
 
     # A linked pair {a, b} closes one wedge per common neighbour of a and
     # b in the wedge layer, so count each pair of the union once.
-    pairs = {name: _linked_pairs(view, n) for name, view in zip(names, views)}
+    pairs = {name: _linked_pairs(view.und, n) for name, view in zip(names, views)}
     union = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *pairs.values()]))
     a, b = np.divmod(union, n)
     fewer = degree[a] <= degree[b]  # walk the shorter row; the count is symmetric
@@ -336,9 +339,8 @@ def wedge_closure(
     return WedgeReport(wedge_layer=wedge_layer, total=total, closed=closed, pct=pct)
 
 
-def _linked_pairs(view: LayerView, n: int) -> np.ndarray:
-    """Keys ``a * n + b``, a < b, of node pairs tied in either direction, unsorted."""
-    und = view.und
+def _linked_pairs(und: CSR, n: int) -> np.ndarray:
+    """Keys ``a * n + b``, a < b, of node pairs tied in either direction, in ``und``'s row order."""
     a = und.row_ids()
     upper = und.indices > a
     return a[upper] * n + und.indices[upper]

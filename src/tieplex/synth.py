@@ -11,7 +11,8 @@ across Python versions and platforms), and the draw order is fixed:
             draw forward tie, draw backward tie, draw mutuality coupling
 
 Exactly three draws per pair per layer, taken whether or not a tie is
-made, so edge sets never depend on earlier outcomes.  With mutuality
+made, so edge sets never depend on earlier outcomes.  That is O(n²)
+work, so the node count is capped at ``MAX_NODES``.  With mutuality
 bias m the backward tie is forced equal to the forward tie with
 probability m (bias 1 makes every tie mutual, bias 0 leaves the two
 directions independent); the marginal tie probability stays p either
@@ -39,9 +40,16 @@ class LayerParams:
     mutuality_bias: float
 
 
+# Three draws per node pair and layer: 5000 nodes already take 37.5M
+# draws per layer, and a larger count would hang or exhaust memory.
+MAX_NODES = 5000
+
+
 def _validate(n_nodes: int, layers: Sequence[LayerParams]) -> None:
     if n_nodes < 2:
         raise InvalidParameter(f"need at least 2 nodes, got {n_nodes}")
+    if n_nodes > MAX_NODES:
+        raise InvalidParameter(f"at most {MAX_NODES} nodes, got {n_nodes}")
     if not layers:
         raise InvalidParameter("need at least one layer")
     for lp in layers:

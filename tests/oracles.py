@@ -3,7 +3,8 @@
 Everything here evaluates the defining formulas literally on adjacency
 matrices (triple loops, matrix closure, explicit correlation sums) and
 shares no code with the library paths it checks; only the
-``EquivalenceClass`` record type is imported.
+``EquivalenceClass`` record type, the error classes and the layer
+declaration check are imported.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 
+from tieplex.errors import DuplicateNodeLabel, SelfTie, UnknownLayer, UnknownNode
+from tieplex.graph import check_layers
 from tieplex.structure import EquivalenceClass
 
 
@@ -214,6 +217,60 @@ def equivalence_greedy(actors, tolerance: float, out_degree=None, in_degree=None
             )
         )
     return classes
+
+
+def _where(edge) -> str:
+    return f"line {edge[3]}" if len(edge) > 3 else f"edge ({edge[0]}, {edge[1]}, {edge[2]})"
+
+
+def build_graph_sets(labels, specs, edges):
+    """The set-based build: the check loop, then per-node frozensets of every layer.
+
+    Returns ``(views, duplicates)``: ``views[name]`` is ``(succ, pred,
+    und)``, three lists of per-node frozensets, and ``und[i]`` is
+    ``succ[i] | pred[i]``, whose iteration order is the order
+    ``degree_assortativity`` sums in.  Raises the errors of
+    ``build_graph`` with the same messages.
+    """
+    labels = list(labels)
+    index: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        if index.setdefault(label, i) != i:
+            raise DuplicateNodeLabel(f"line {i + 1}: duplicate node label '{label}'")
+
+    specs = list(specs)
+    check_layers(specs)
+    edge_sets = {s.name: set() for s in specs if s.kind == "basic"}
+    rows = dict.fromkeys((s.name for s in specs), 0)
+    for edge in edges:
+        src, dst, layer = edge[0], edge[1], edge[2]
+        if src not in index or dst not in index:
+            raise UnknownNode(f"{_where(edge)}: unknown node '{dst if src in index else src}'")
+        if layer not in edge_sets:
+            if layer in rows:  # declared, so an aggregate
+                raise UnknownLayer(f"{_where(edge)}: '{layer}' is an aggregate, edges go in basic layers")
+            raise UnknownLayer(f"{_where(edge)}: unknown layer '{layer}'")
+        if src == dst:
+            raise SelfTie(f"{_where(edge)}: self-tie on '{src}' is not allowed")
+        edge_sets[layer].add((index[src], index[dst]))
+        rows[layer] += 1
+    duplicates = {name: count - len(edge_sets.get(name, ())) for name, count in rows.items()}
+
+    views = {}
+    for spec in specs:
+        if spec.kind == "basic":
+            layer_edges = frozenset(edge_sets[spec.name])
+        else:
+            layer_edges = frozenset(set().union(*(edge_sets[c] for c in spec.constituents)))
+        succ = [set() for _ in range(len(labels))]
+        pred = [set() for _ in range(len(labels))]
+        for i, j in layer_edges:
+            succ[i].add(j)
+            pred[j].add(i)
+        succ = list(map(frozenset, succ))
+        pred = list(map(frozenset, pred))
+        views[spec.name] = (succ, pred, [s | p for s, p in zip(succ, pred)])
+    return views, duplicates
 
 
 def reachability(x) -> np.ndarray:

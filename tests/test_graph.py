@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tieplex import (
     DuplicateLayerName,
     DuplicateNodeLabel,
+    EdgeRecord,
     LayerSpec,
     SelfTie,
+    TieplexError,
     UnknownLayer,
     UnknownNode,
     build_graph,
@@ -130,12 +133,93 @@ def test_build_graph_retains_few_bytes_per_edge():
     tracemalloc.start()
     try:
         g = build_graph(labels, specs, edges)
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     stored = sum(g.view(name).n_edges for name in g.layer_names)
     assert stored > 12 * n
     assert retained / stored < 32
+    # the set-based build peaked at about 146 bytes per stored edge
+    assert peak / stored < 80
+
+
+def assert_builds_agree(labels, specs, edges):
+    """The numpy build equals the set-based build, or both raise the same error."""
+    try:
+        views, duplicates = oracles.build_graph_sets(labels, specs, edges)
+    except TieplexError as exc:
+        with pytest.raises(TieplexError) as raised:
+            build_graph(labels, specs, edges)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    g = build_graph(labels, specs, edges)
+    assert g.duplicates_collapsed == duplicates
+    for name, (succ, pred, und) in views.items():
+        v = g.view(name)
+        assert v.n_edges == sum(map(len, succ))
+        for csr, expected in ((v.out, succ), (v.inn, pred), (v.und, und)):
+            rows = csr.rows()
+            assert rows == [sorted(row) for row in rows]
+            assert list(map(set, rows)) == expected
+        # the order degree_assortativity sums in
+        assert v._und_in_set_order().rows() == [list(row) for row in und]
+
+
+def random_build_input(rng: random.Random, bad: int):
+    """Labels, specs and edge records with duplicates, plus ``bad`` bad records at random positions."""
+    n = rng.choice([2, 3, 8, 40, 300])
+    labels = [f"v{k}" for k in range(n)]
+    basics = [f"b{k}" for k in range(rng.randint(1, 4))]
+    specs = [LayerSpec.basic(name) for name in basics]
+    for k in range(rng.randint(0, 3)):
+        specs.append(LayerSpec.aggregate(f"agg{k}", *rng.sample(basics, rng.randint(1, len(basics)))))
+    edges = []
+    for _ in range(rng.randint(0, 4 * n)):
+        i, j = rng.sample(range(n), 2)
+        edges.append((labels[i], labels[j], rng.choice(basics)))
+    edges += rng.sample(edges, len(edges) // 4)  # duplicates, some before their first occurrence
+    rng.shuffle(edges)
+    spoilers = [
+        lambda e: ("ghost", e[1], e[2]),
+        lambda e: (e[0], "ghost", e[2]),
+        lambda e: (e[0], e[1], "nope"),
+        lambda e: (e[0], e[1], specs[-1].name),  # an aggregate when one is declared
+        lambda e: (e[0], e[0], e[2]),
+        lambda e: ("ghost", e[0], "nope"),
+    ]
+    for _ in range(bad):
+        at = rng.randint(0, len(edges))
+        edges.insert(at, rng.choice(spoilers)(edges[at - 1] if edges else (labels[0], labels[1], basics[0])))
+    if rng.random() < 0.5:
+        edges = [EdgeRecord(*e, line_no=k + 2) for k, e in enumerate(edges)]
+    return labels, specs, edges
+
+
+@pytest.mark.parametrize("bad", [0, 1, 3])
+def test_build_equals_set_based_build(bad):
+    rng = random.Random(bad)
+    for _ in range(60):
+        assert_builds_agree(*random_build_input(rng, bad))
+
+
+labels8 = [f"v{k}" for k in range(8)]
+layer_names = st.sampled_from(["a", "b", "c", "ab", "cc", "nope"])
+records = st.tuples(st.sampled_from([*labels8, "ghost"]), st.sampled_from([*labels8, "ghost"]), layer_names)
+good_records = st.tuples(st.sampled_from(labels8), st.sampled_from(labels8), st.sampled_from(["a", "b", "c"]))
+
+
+@given(st.lists(good_records, max_size=60), st.lists(st.tuples(st.integers(0, 60), records), max_size=3))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_build_equals_set_based_build_property(good, inserted):
+    specs = [
+        LayerSpec.basic("a"), LayerSpec.basic("b"), LayerSpec.basic("c"),
+        LayerSpec.aggregate("ab", "a", "b"), LayerSpec.aggregate("cc", "c"),
+    ]
+    edges = list(good)  # self-ties among them are bad records too
+    for at, record in inserted:
+        edges.insert(at, record)
+    assert_builds_agree(labels8, specs, edges)
+    assert_builds_agree(labels8, specs, [EdgeRecord(*e, line_no=k + 2) for k, e in enumerate(edges)])
 
 
 def test_node_id_errors():

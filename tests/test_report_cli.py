@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import shutil
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tieplex import load_dataset, write_demo_dataset
 from tieplex.cli import main
@@ -324,6 +329,14 @@ def test_cli_generate_regenerates_bundled_demo(tmp_path):
         assert (tmp_path / "demo" / name).read_bytes() == (DATA / name).read_bytes()
 
 
+def test_cli_generate_too_many_nodes_exit_2(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run_cli("generate", "--out", str(tmp_path / "big"), "--nodes", "5001") == 2
+    assert time.perf_counter() - start < 1.0  # rejected before any draw
+    assert "at most 5000 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
+
+
 def test_write_demo_dataset_deterministic(tmp_path):
     write_demo_dataset(tmp_path / "one", seed=9, n_nodes=15)
     write_demo_dataset(tmp_path / "two", seed=9, n_nodes=15)
@@ -352,6 +365,60 @@ def test_summary_bytes_independent_of_edge_row_order(tmp_path, capsys):
         assert run_cli("summary", "--manifest", str(tmp_path / name / "manifest.json"), "--format", "json") == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+REPORT_VERBS = (
+    ["summary"],
+    ["endogenous"],
+    ["cross"],
+    ["equiv", "--layer", "all"],
+    ["wedges", "--wedge-layer", "all"],
+    ["attrs", "--layer", "all"],
+)
+
+
+def report_outputs(manifest: Path) -> dict[str, str]:
+    """stdout of every report verb in every format, by verb and format."""
+    outputs = {}
+    for verb in REPORT_VERBS:
+        for fmt in ("json", "text", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([*verb, "--manifest", str(manifest), "--format", fmt]) == 0
+            outputs[f"{verb[0]} {fmt}"] = out.getvalue()
+    return outputs
+
+
+def set_order_rows(manifest: Path) -> dict[str, list[list[int]]]:
+    """The und rows of every layer in the order degree_assortativity sums in."""
+    graph = load_dataset(manifest).graph
+    return {name: graph.view(name)._und_in_set_order().rows() for name in graph.layer_names}
+
+
+@pytest.fixture(scope="module")
+def forty(tmp_path_factory):
+    root = tmp_path_factory.mktemp("forty")
+    write_demo_dataset(root, seed=5, n_nodes=40)
+    return root, report_outputs(root / "manifest.json"), set_order_rows(root / "manifest.json")
+
+
+@given(st.integers(1, 500), st.randoms(use_true_random=False))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_reports_unchanged_by_repeated_edge_rows(tmp_path_factory, forty, copies, rnd):
+    # A repeated row leaves the first occurrence of each tie where it was,
+    # and the assortativity's summation order is replayed from those.  At
+    # n = 40 that order rarely reaches the bytes, so it is compared too.
+    original, expected, expected_rows = forty
+    root = tmp_path_factory.mktemp("repeated")
+    for name in ("nodes.txt", "attributes.csv", "manifest.json"):
+        shutil.copy(original / name, root / name)
+    header, *rows = (original / "edges.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    for _ in range(copies):
+        at = rnd.randrange(len(rows))
+        rows.insert(rnd.randint(at + 1, len(rows)), rows[at])  # somewhere after the row it copies
+    (root / "edges.csv").write_text(header + "".join(rows), encoding="utf-8")
+    assert set_order_rows(root / "manifest.json") == expected_rows
+    assert report_outputs(root / "manifest.json") == expected
 
 
 @pytest.mark.parametrize(

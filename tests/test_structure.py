@@ -1,7 +1,9 @@
 import functools
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +24,13 @@ from tieplex import (
     largest_scc,
     layer_metrics,
     layer_summary,
+    load_dataset,
     path_stats,
     strongly_connected_components,
     structural_equivalence,
+    synth,
     wedge_closure,
+    write_demo_dataset,
 )
 
 from conftest import metric_corpus, single, two_layer
@@ -104,13 +109,18 @@ def pearson_of_pairs(pairs):
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def test_assortativities_equal_edge_loop_bitwise():
-    # the vectorised sums must keep the loop's order: stored und rows
-    # for the undirected projection, sorted edges for the directed modes
+def test_assortativities_equal_edge_loop_bitwise(monkeypatch):
+    # the vectorised sums must keep the loop's order: the und rows of the
+    # set-based build for the undirected projection, sorted edges for the
+    # directed modes; each build's inputs are captured to replay that build
+    builds = []
+    build = synth.build_graph
+    monkeypatch.setattr(synth, "build_graph", lambda *args: builds.append(args) or build(*args))
     for g in metric_corpus(200):
+        reference, _ = oracles.build_graph_sets(*builds[-1])
         for name in g.layer_names:
             v = g.view(name)
-            und = v.und.rows()
+            und = [list(row) for row in reference[name][2]]
             deg = [len(row) for row in und]
             half = [(deg[i], deg[j]) for i in range(v.n_nodes) for j in und[i] if j > i]
             both = half + [(b, a) for a, b in half]
@@ -122,6 +132,30 @@ def test_assortativities_equal_edge_loop_bitwise():
                     pairs = [(degree[a][i], degree[b][j]) for i, j in v.edges()]
                     got = directed_degree_assortativity(v, a, b)
                     assert repr(got) == repr(pearson_of_pairs(pairs))
+
+
+# repr(degree_assortativity) of every layer of three inputs, keyed by
+# "input/layer", recorded when und rows still kept set-iteration order
+ASSORTATIVITY_DIGESTS = Path(__file__).with_name("assortativity_digests.json")
+DEMO_MANIFEST = Path(__file__).resolve().parent.parent / "data" / "demo" / "manifest.json"
+
+
+def assortativity_reprs(workdir: Path) -> dict[str, str]:
+    """``repr(degree_assortativity)`` of every layer of the pinned inputs."""
+    graphs = {f"metric_corpus/{k}": g for k, g in enumerate(metric_corpus(200))}
+    graphs["data/demo"] = load_dataset(DEMO_MANIFEST).graph
+    write_demo_dataset(workdir, seed=1, n_nodes=260)  # what `generate --nodes 260 --seed 1` writes
+    graphs["generate-260-seed1"] = load_dataset(workdir / "manifest.json").graph
+    return {
+        f"{key}/{name}": repr(degree_assortativity(g.view(name)))
+        for key, g in graphs.items()
+        for name in g.layer_names
+    }
+
+
+def test_assortativity_equals_pinned_values(tmp_path):
+    pinned = json.loads(ASSORTATIVITY_DIGESTS.read_text(encoding="utf-8"))
+    assert assortativity_reprs(tmp_path) == pinned
 
 
 def test_directed_assortativity_modes():
