@@ -86,24 +86,12 @@ class LayerView:
     transpose of ``out``, and each holds ``n_edges`` entries.
 
     ``keys`` are the layer's ties ``i * n_nodes + j``, sorted and
-    unique.  ``sources`` holds, for each basic layer the view is made
-    of, the keys of its ties in the order each tie first appears in the
-    input; ``aggregate`` tells an aggregate from a basic layer.  They
-    serve :func:`degree_assortativity` alone, which sums in the row
-    order of an earlier set-based build and replays that order from
-    them (see :meth:`_und_in_set_order`).
+    unique.
     """
 
-    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und", "_sources", "_aggregate")
+    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und")
 
-    def __init__(
-        self,
-        name: str,
-        n_nodes: int,
-        keys: np.ndarray,
-        sources: tuple[np.ndarray, ...],
-        aggregate: bool,
-    ):
+    def __init__(self, name: str, n_nodes: int, keys: np.ndarray):
         rows, cols = np.divmod(keys, n_nodes)
         transposed = np.sort(cols * n_nodes + rows)
         self.name = name
@@ -112,31 +100,6 @@ class LayerView:
         self.out = CSR.from_keys(keys, n_nodes)
         self.inn = CSR.from_keys(transposed, n_nodes)
         self.und = CSR.from_keys(_merge(keys, transposed), n_nodes)
-        self._sources = sources
-        self._aggregate = aggregate
-
-    def _und_in_set_order(self) -> CSR:
-        """``und`` with each row in the iteration order of the set-based build.
-
-        That build put each layer's ties, in input order, into a set of
-        ``(i, j)`` tuples (an aggregate: the union of its basic layers'
-        sets), then filled per-node successor and predecessor frozensets
-        from it and stored their unions as rows.  Replaying it from the
-        first occurrences gives the same tables, since a repeated tie
-        left a set unchanged; int and int-tuple hashes are not
-        randomised, so the order is the same in every run.
-        """
-        n = self.n_nodes
-        layers = [set(zip(*(part.tolist() for part in np.divmod(keys, n)))) for keys in self._sources]
-        edges = frozenset(set().union(*layers)) if self._aggregate else frozenset(layers[0])
-        succ = [set() for _ in range(n)]
-        pred = [set() for _ in range(n)]
-        for i, j in edges:
-            succ[i].add(j)
-            pred[j].add(i)
-        succ = list(map(frozenset, succ))
-        pred = list(map(frozenset, pred))
-        return CSR.from_sets([s | p for s, p in zip(succ, pred)])
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
@@ -331,28 +294,19 @@ def build_graph(
     if bad.any():
         _reject(records[int(np.argmax(bad))], index, codes)
 
-    # Per basic layer: its sorted unique keys, and the keys of the first
-    # occurrence of each tie in input order (a stable sort ranks the
-    # first occurrence first among equal keys).
     keys = src * n + dst
     del src, dst
     ranked: dict[str, np.ndarray] = {}
-    sources: dict[str, np.ndarray] = {}
     duplicates = dict.fromkeys((s.name for s in specs), 0)
     for k, name in enumerate(basics):
-        layer_keys = keys[layer == k]
-        order = np.argsort(layer_keys, kind="stable")
-        first = _firsts(layer_keys[order])
-        ranked[name] = layer_keys[order[first]]
-        sources[name] = layer_keys[np.sort(order[first])]
+        layer_keys = np.sort(keys[layer == k])
+        ranked[name] = layer_keys[_firsts(layer_keys)]
         duplicates[name] = len(layer_keys) - len(ranked[name])
 
     views = {}
     for spec in specs:
-        parts = spec.constituents or (spec.name,)
-        union = _merge(*(ranked[c] for c in parts))
-        aggregate = spec.kind == "aggregate"
-        views[spec.name] = LayerView(spec.name, n, union, tuple(sources[c] for c in parts), aggregate)
+        union = _merge(*(ranked[c] for c in spec.constituents or (spec.name,)))
+        views[spec.name] = LayerView(spec.name, n, union)
     return MultiplexGraph(labels, specs, views, duplicates)
 
 

@@ -38,6 +38,7 @@ from .errors import (
     TieplexError,
     UnknownBucketKey,
     UnknownLayer,
+    UnknownNode,
 )
 from .graph import EdgeRecord, LayerSpec, MultiplexGraph, build_graph, check_layers
 
@@ -157,21 +158,12 @@ def _bucket_label(rules: tuple[BucketRule, ...], key: str, value: float, line_no
     )
 
 
-def parse_attributes(
-    stream: IO[str],
-    buckets: Mapping[str, tuple[BucketRule, ...]] | None = None,
-    delimiter: str | None = None,
-) -> AttributeTable:
-    """Parse an attribute file into per-node token sets.
-
-    Keys listed in ``buckets`` must carry numeric values, which are
-    replaced by their bucket label; any other value is kept verbatim.
-    Duplicate rows collapse via set semantics.
-    """
-    buckets = dict(buckets or {})
+def _attribute_rows(
+    stream: IO[str], buckets: Mapping[str, tuple[BucketRule, ...]], delimiter: str | None
+) -> Iterator[tuple[int, str, str]]:
+    """``(line, node, token)`` of every attribute row, bucketed values replaced by their label."""
     lines = _lines(stream)
     delim = _split_header(lines, ATTRIBUTE_HEADER, delimiter, "attribute")
-    tokens: dict[str, set[str]] = {}
     for line_no, raw in lines:
         node, key, value = _split_row(raw, delim, line_no, 3)
         if key in buckets:
@@ -183,7 +175,23 @@ def parse_attributes(
                     line_no,
                 ) from None
             value = _bucket_label(buckets[key], key, numeric, line_no)
-        tokens.setdefault(node, set()).add(f"{key}:{value}")
+        yield line_no, node, f"{key}:{value}"
+
+
+def parse_attributes(
+    stream: IO[str],
+    buckets: Mapping[str, tuple[BucketRule, ...]] | None = None,
+    delimiter: str | None = None,
+) -> AttributeTable:
+    """Parse an attribute file into per-node token sets.
+
+    Keys listed in ``buckets`` must carry numeric values, which are
+    replaced by their bucket label; any other value is kept verbatim.
+    Duplicate rows collapse via set semantics.
+    """
+    tokens: dict[str, set[str]] = {}
+    for _, node, token in _attribute_rows(stream, buckets or {}, delimiter):
+        tokens.setdefault(node, set()).add(token)
     return AttributeTable(tokens)
 
 
@@ -323,8 +331,12 @@ def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
     if manifest.attributes_path is not None:
         with _open_input(manifest.attributes_path) as fh:
             attributes = parse_attributes(fh, buckets=manifest.buckets, delimiter=manifest.delimiter)
-            for label in attributes.labels():
-                graph.node_id(label)  # raises UnknownNode for a label outside the node file
+            unknown = set(attributes.labels()).difference(graph.labels)
+            if unknown:  # read the file again for the first row naming one
+                fh.seek(0)
+                rows = _attribute_rows(fh, manifest.buckets, manifest.delimiter)
+                line_no, node = next((line_no, node) for line_no, node, _ in rows if node in unknown)
+                raise UnknownNode(f"line {line_no}: unknown node label '{node}'")
 
     report = IngestionReport(
         node_count=graph.n_nodes,

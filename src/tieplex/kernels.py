@@ -14,8 +14,7 @@ counts do not depend on the order of the entries within a row.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,19 +25,11 @@ _STEP = 1 << 15  # CSR entries gathered per numpy step
 class CSR(NamedTuple):
     """Square sparse boolean matrix: row ``i`` holds ``indices[indptr[i]:indptr[i + 1]]``.
 
-    Rows may be in any order.  Both arrays are read-only.
+    Every row is sorted.  Both arrays are read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-
-    @classmethod
-    def from_sets(cls, sets: Sequence[Collection[int]]) -> "CSR":
-        """Row ``i`` holds the members of ``sets[i]`` in iteration order, each in ``0..len(sets)-1``."""
-        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)), out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(sets), dtype=np.int32, count=int(indptr[-1]))
-        return cls._frozen(indptr, indices)
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, n: int) -> "CSR":
@@ -49,10 +40,7 @@ class CSR(NamedTuple):
         rows, cols = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls._frozen(indptr, cols.astype(np.int32))
-
-    @classmethod
-    def _frozen(cls, indptr: np.ndarray, indices: np.ndarray) -> "CSR":
+        indices = cols.astype(np.int32)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return cls(indptr, indices)

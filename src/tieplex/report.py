@@ -30,7 +30,7 @@ from .synth import DEMO_PAIRS
 TEXT_PRECISION = 4
 
 CONVENTIONS = {
-    "version": "1",
+    "version": "2",
     "jaccard_both_empty": "zero",
     "degenerate_denominator": "zero",
     "cycle_closure_reference_layer": "beta",

@@ -202,22 +202,14 @@ def degree_assortativity(view: LayerView) -> float:
     """Pearson degree assortativity of the undirected projection.
 
     Degrees are undirected-projection degrees; every undirected edge
-    contributes its endpoint degree pair in both orders.  Returns NaN
-    when there is no edge or the endpoint degrees have zero variance
-    (the degenerate-variance flag).
+    contributes its endpoint degree pair in both orders, summed along
+    the sorted ``und`` rows.  Returns NaN when there is no edge or the
+    endpoint degrees have zero variance (the degenerate-variance flag).
     """
     deg = view.und.degrees()
-    # each undirected edge once, in the row order of the set-based build:
-    # np.corrcoef rounds differently under another order
-    a, b = np.divmod(_linked_pairs(view._und_in_set_order(), view.n_nodes), view.n_nodes)
-    xs, ys = deg[a], deg[b]
-    if not len(xs):
-        return math.nan
-    x = np.concatenate((xs, ys)).astype(float)
-    y = np.concatenate((ys, xs)).astype(float)
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        return math.nan
-    return float(np.corrcoef(x, y)[0, 1])
+    a, b = np.divmod(_linked_pairs(view.und, view.n_nodes), view.n_nodes)
+    x, y = deg[a], deg[b]
+    return _pearson(np.concatenate((x, y)), np.concatenate((y, x)))
 
 
 def directed_degree_assortativity(view: LayerView, source_mode: str, target_mode: str) -> float:
@@ -225,21 +217,21 @@ def directed_degree_assortativity(view: LayerView, source_mode: str, target_mode
 
     ``source_mode`` / ``target_mode`` are "out" or "in"; the four
     combinations cover the usual directed assortativity variants.
-    Returns NaN for empty or degenerate layers.
+    Edges are summed in (source, target) order, the order of the sorted
+    ``out`` rows.  Returns NaN for empty or degenerate layers.
     """
     if source_mode not in ("out", "in") or target_mode not in ("out", "in"):
         raise InvalidParameter("degree mode must be 'out' or 'in'")
     out = view.out
     degree = {"out": out.degrees(), "in": view.inn.degrees()}
-    sources = out.row_ids()
-    order = np.lexsort((out.indices, sources))  # edges sorted by (source, target)
-    if not len(order):
+    return _pearson(degree[source_mode][out.row_ids()], degree[target_mode][out.indices])
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """``np.corrcoef`` of two degree sequences; NaN when empty or either has zero variance."""
+    if not len(x) or np.ptp(x) == 0 or np.ptp(y) == 0:
         return math.nan
-    x = degree[source_mode][sources[order]].astype(float)
-    y = degree[target_mode][out.indices[order]].astype(float)
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        return math.nan
-    return float(np.corrcoef(x, y)[0, 1])
+    return float(np.corrcoef(x.astype(float), y.astype(float))[0, 1])
 
 
 def structural_equivalence(
@@ -340,7 +332,7 @@ def wedge_closure(
 
 
 def _linked_pairs(und: CSR, n: int) -> np.ndarray:
-    """Keys ``a * n + b``, a < b, of node pairs tied in either direction, in ``und``'s row order."""
+    """Sorted keys ``a * n + b``, a < b, of node pairs tied in either direction."""
     a = und.row_ids()
     upper = und.indices > a
     return a[upper] * n + und.indices[upper]

@@ -228,9 +228,8 @@ def build_graph_sets(labels, specs, edges):
 
     Returns ``(views, duplicates)``: ``views[name]`` is ``(succ, pred,
     und)``, three lists of per-node frozensets, and ``und[i]`` is
-    ``succ[i] | pred[i]``, whose iteration order is the order
-    ``degree_assortativity`` sums in.  Raises the errors of
-    ``build_graph`` with the same messages.
+    ``succ[i] | pred[i]``.  Raises the errors of ``build_graph`` with
+    the same messages.
     """
     labels = list(labels)
     index: dict[str, int] = {}

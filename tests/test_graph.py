@@ -161,8 +161,6 @@ def assert_builds_agree(labels, specs, edges):
             rows = csr.rows()
             assert rows == [sorted(row) for row in rows]
             assert list(map(set, rows)) == expected
-        # the order degree_assortativity sums in
-        assert v._und_in_set_order().rows() == [list(row) for row in und]
 
 
 def random_build_input(rng: random.Random, bad: int):

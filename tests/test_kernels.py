@@ -1,8 +1,16 @@
 import random
 import tracemalloc
 
+import numpy as np
+
 from tieplex import LayerSpec, build_graph, layer_metrics, wedge_closure
 from tieplex.kernels import CSR, intersection_counts
+
+
+def csr(sets):
+    """CSR whose row ``i`` holds the members of ``sets[i]``, each in ``0..len(sets)-1``."""
+    n = len(sets)
+    return CSR.from_keys(np.array(sorted(i * n + j for i, row in enumerate(sets) for j in row), dtype=np.int64), n)
 
 
 def test_intersection_counts_match_sets_across_blocks_and_steps():
@@ -16,7 +24,7 @@ def test_intersection_counts_match_sets_across_blocks_and_steps():
         q_rows[k] = set(rng.sample(range(n), rng.choice((2, 50, 500)))) | set(rng.sample(sorted(p_rows[k]), 1))
     p_rows[7] = set(rng.sample(range(n), 40_000))
     q_rows[11] = p_rows[7] | {0}
-    P, Q = CSR.from_sets(p_rows), CSR.from_sets(q_rows)
+    P, Q = csr(p_rows), csr(q_rows)
     busy = [k for k in range(n) if p_rows[k] or q_rows[k]] + [3]
     same = rng.sample(busy, 200)
     rows = [rng.choice(busy) for _ in range(200)] + same + [7, 7, 11, 7]
