@@ -3,8 +3,10 @@
 Everything here evaluates the defining formulas literally on adjacency
 matrices (triple loops, matrix closure, explicit correlation sums) and
 shares no code with the library paths it checks; only the
-``EquivalenceClass`` record type, the error classes and the layer
-declaration check are imported.
+``EquivalenceClass`` and ``PathStats`` record types, the error classes
+and the layer declaration check are imported.  ``path_stats_bfs`` is
+the one-source-at-a-time BFS that ``structure.path_stats`` replaced,
+kept as its reference.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import math
 
 import numpy as np
 
-from tieplex.errors import DuplicateNodeLabel, SelfTie, UnknownLayer, UnknownNode
+from tieplex.errors import DuplicateNodeLabel, NotStronglyConnected, SelfTie, UnknownLayer, UnknownNode
 from tieplex.graph import check_layers
-from tieplex.structure import EquivalenceClass
+from tieplex.structure import EquivalenceClass, PathStats
 
 
 def view_matrix(view) -> list[list[int]]:
@@ -315,6 +317,41 @@ def component_path_stats(x, members: list[int]) -> tuple[float, int]:
             total += d
             diameter = max(diameter, int(d))
     return total / (k * (k - 1)), diameter
+
+
+def path_stats_bfs(view, component) -> PathStats:
+    """One BFS per member over the whole layer, summing distances to the other members."""
+    members = sorted(set(component))
+    k = len(members)
+    if k <= 1:
+        return PathStats(0.0, 0)
+    successors = view.out.rows()
+    total = 0
+    diameter = 0
+    for src in members:
+        dist = {src: 0}
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in successors[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        for t in members:
+            if t == src:
+                continue
+            if t not in dist:
+                raise NotStronglyConnected(
+                    f"no directed path from node {src} to node {t} in layer '{view.name}'"
+                )
+            total += dist[t]
+            if dist[t] > diameter:
+                diameter = dist[t]
+    return PathStats(total / (k * (k - 1)), diameter)
 
 
 def assortativity_sums(degree_pairs: list[tuple[int, int]]) -> float:

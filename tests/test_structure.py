@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ import oracles
 from tieplex import (
     InvalidParameter,
     LayerParams,
+    LayerView,
     NotStronglyConnected,
     PathStats,
     degree_assortativity,
@@ -32,6 +34,7 @@ from tieplex import (
     write_demo_dataset,
 )
 from tieplex import io as tieplex_io
+from tieplex import kernels
 
 from conftest import metric_corpus, single, two_layer
 
@@ -66,6 +69,114 @@ def test_path_stats(three_cycle, mutual_dyad):
 def test_path_stats_unreachable(transitive_triplet):
     with pytest.raises(NotStronglyConnected):
         path_stats(transitive_triplet, {0, 1, 2})
+
+
+def mutual_path(n):
+    """0 <-> 1 <-> ... <-> n-1."""
+    return single([e for i in range(n - 1) for e in ((i, i + 1), (i + 1, i))], n)
+
+
+def test_path_stats_counts_repeated_members_once():
+    v = mutual_path(3)
+    assert path_stats(v, [0, 0, 1]) == path_stats(v, [0, 1, 1, 1]) == PathStats(1.0, 1)
+    assert path_stats(v, {0, 1}) == PathStats(1.0, 1)
+    assert path_stats(v, [2, 0, 2, 1, 0]) == path_stats(v, {0, 1, 2})
+    assert induced_edge_count(v, [0, 0, 1]) == 2
+
+
+def test_path_stats_paths_may_leave_the_component():
+    # 0 and 2 are linked only through 1; an induced-subgraph BFS would raise
+    assert path_stats(mutual_path(3), {0, 2}) == PathStats(2.0, 2)
+
+
+def assert_path_stats_match_bfs(v, component):
+    """``path_stats`` equals the one-source-at-a-time BFS: the same value or the same error."""
+    try:
+        expected = oracles.path_stats_bfs(v, component)
+    except NotStronglyConnected as err:
+        with pytest.raises(NotStronglyConnected) as got:
+            path_stats(v, component)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        return
+    assert path_stats(v, component) == expected
+
+
+@pytest.mark.parametrize("step", [None, 3])
+def test_path_stats_matches_bfs_on_corpus(monkeypatch, step):
+    if step:  # cut the in-edges into runs of 3, so most rows are split across runs
+        monkeypatch.setattr(kernels, "_STEP", step)
+    rng = random.Random(9)
+    not_strong = 0
+    for g in metric_corpus():
+        for name in g.layer_names:
+            v = g.view(name)
+            comps = strongly_connected_components(v)
+            nodes = range(v.n_nodes)
+            half = rng.sample(nodes, len(nodes) // 2)
+            for component in [largest_scc(v), *(c for c in comps if len(c) >= 2), nodes, half]:
+                assert_path_stats_match_bfs(v, component)
+            not_strong += len(comps) > 1
+    assert not_strong > 300  # the all-nodes case takes the error path on most layers
+
+
+def strongly_connected_ties(k, seed, extra):
+    """A shuffled ring of ``k`` nodes plus chords, and ``extra`` more nodes that shortcut it.
+
+    Each extra node ``x`` has one tie from a ring node and one to a ring
+    node, so some shortest ring-to-ring paths pass through it.
+    """
+    rng = random.Random(seed)
+    ring = list(range(k))
+    rng.shuffle(ring)
+    ties = set(zip(ring, ring[1:] + ring[:1]))
+    while len(ties) < k + k // 4:
+        ties.add(tuple(rng.sample(range(k), 2)))
+    for x in range(k, k + extra):
+        a, b = rng.sample(range(k), 2)
+        ties |= {(a, x), (x, b)}
+    return sorted(ties)
+
+
+@pytest.mark.parametrize("k", [63, 64, 65, 1023, 1024, 1025])
+def test_path_stats_matches_bfs_across_word_and_block_boundaries(k):
+    ties = strongly_connected_ties(k, seed=k, extra=3)
+    assert_path_stats_match_bfs(single(ties, k + 3), range(k))
+    # node k + 3 is reached but reaches nothing, and it is the last
+    # member; node k + 4 reaches the ring but is reached by nothing
+    v = single([*ties, (0, k + 3), (k + 4, 1)], k + 5)
+    assert_path_stats_match_bfs(v, [*range(k), k + 3])
+    assert_path_stats_match_bfs(v, [*range(k), k + 4])
+
+
+def test_path_stats_matches_bfs_on_ring_hub_and_dyad(mutual_dyad):
+    ring = single([(i, (i + 1) % 300) for i in range(300)], 300)
+    assert path_stats(ring, range(300)) == PathStats(150.0, 299)
+    hub = single([e for leaf in range(1, 201) for e in ((0, leaf), (leaf, 0))], 201)
+    # the big hub's in-row is longer than one gather step
+    big_hub = single([e for leaf in range(1, 40_001) for e in ((0, leaf), (leaf, 0))], 40_001)
+    cases = [(ring, range(300)), (hub, range(201)), (hub, {0, 5, 70, 199}),
+             (big_hub, {0, 3, 9_999, 40_000}), (mutual_dyad, {0, 1})]
+    for v, component in cases:
+        assert_path_stats_match_bfs(v, component)
+
+
+def test_path_stats_memory_stays_bounded():
+    # ~520k random ties on 5000 nodes: one gather of every in-edge's
+    # 16-word frontier would take 64 MiB
+    n = 5000
+    keys = np.unique(np.random.default_rng(3).integers(0, n * n, 520_000))
+    keys = keys[keys // n != keys % n]
+    v = LayerView("L", n, keys)
+    assert v.n_edges >= 500_000
+    giant = largest_scc(v)
+    tracemalloc.start()
+    try:
+        stats = path_stats(v, giant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(giant) == n and stats.diameter >= 2
+    assert peak < 16 * 2**20
 
 
 def test_assortativity_star():
