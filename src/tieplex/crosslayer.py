@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import MultiplexGraph
 from .metrics import _closure, _mean, _mean_jaccard, _node_terms, jaccard
@@ -132,9 +132,25 @@ class AttributeTable:
 
     def __init__(self, tokens: Mapping[str, Iterable[str]] | None = None):
         self._tokens: dict[str, frozenset[str]] = {}
+        self._first_lines: dict[str, int] = {}
         if tokens:
             for label, toks in tokens.items():
                 self._tokens[label] = frozenset(toks)
+
+    @classmethod
+    def from_rows(cls, nodes: Sequence[str], tokens: Sequence[str], first_line: int) -> "AttributeTable":
+        """Table of the rows ``(nodes[k], tokens[k])``, row ``k`` read from line ``first_line + k``."""
+        grouped: dict[str, set[str]] = {}
+        for node, token in zip(nodes, tokens):
+            grouped.setdefault(node, set()).add(token)
+        table = cls(grouped)
+        # the last pair written for a label wins, so walk the rows backwards
+        table._first_lines = dict(zip(reversed(nodes), range(first_line + len(nodes) - 1, first_line - 1, -1)))
+        return table
+
+    def first_line(self, label: str) -> int | None:
+        """Line of the first row naming ``label`` in a table read by :meth:`from_rows`."""
+        return self._first_lines.get(label)
 
     def tokens(self, label: str) -> frozenset[str]:
         return self._tokens.get(label, frozenset())

@@ -16,6 +16,7 @@ manifests too).  Each layer is stored once, as its :class:`LayerView`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +41,39 @@ class EdgeRecord(NamedTuple):
     target: str
     layer: str
     line_no: int
+
+
+class EdgeColumns(Sequence[EdgeRecord]):
+    """Edge-file rows held as three label columns; row ``k`` is line ``first_line + k``.
+
+    Indexing builds the :class:`EdgeRecord` of one row on demand, so a
+    large file never holds one record object per row.
+    """
+
+    __slots__ = ("sources", "targets", "layers", "first_line")
+
+    def __init__(self, sources: list[str], targets: list[str], layers: list[str], first_line: int):
+        self.sources = sources
+        self.targets = targets
+        self.layers = layers
+        self.first_line = first_line
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, k: int) -> EdgeRecord:
+        k = range(len(self))[k]  # bounds check, negative indexes
+        return EdgeRecord(self.sources[k], self.targets[k], self.layers[k], self.first_line + k)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EdgeColumns({len(self)} rows from line {self.first_line})"
 
 
 @dataclass(frozen=True)
@@ -262,10 +296,12 @@ def build_graph(
         Basic and aggregate layer declarations, checked by
         :func:`check_layers`.
     edges:
-        :class:`EdgeRecord` rows or plain ``(source_label, target_label,
-        basic_layer_name)`` triples.  Duplicates collapse to a single
-        tie; the collapse count per layer is surfaced on
-        ``duplicates_collapsed``, not raised.
+        :class:`EdgeColumns` (as :func:`tieplex.io.parse_edges` returns
+        them), :class:`EdgeRecord` rows or plain ``(source_label,
+        target_label, basic_layer_name)`` triples; records and triples
+        are transposed into the same label columns.  Duplicates
+        collapse to a single tie; the collapse count per layer is
+        surfaced on ``duplicates_collapsed``, not raised.
 
     Raises
     ------
@@ -286,10 +322,16 @@ def build_graph(
     basics = [s.name for s in specs if s.kind == "basic"]
     codes = {s.name: -2 for s in specs}  # an aggregate's code; unknown layers get -1
     codes.update((name, k) for k, name in enumerate(basics))
-    records = edges if isinstance(edges, list) else list(edges)
-    src = np.fromiter((index.get(e[0], -1) for e in records), dtype=np.int64, count=len(records))
-    dst = np.fromiter((index.get(e[1], -1) for e in records), dtype=np.int64, count=len(records))
-    layer = np.fromiter((codes.get(e[2], -1) for e in records), dtype=np.int64, count=len(records))
+    if isinstance(edges, EdgeColumns):
+        records, columns = edges, (edges.sources, edges.targets, edges.layers)
+    else:
+        records = edges if isinstance(edges, list) else list(edges)
+        columns = tuple(zip(*records))[:3] or ((), (), ())
+    src, dst, layer = (
+        np.fromiter(map(lookup.get, column, repeat(-1)), dtype=np.int64, count=len(records))
+        for lookup, column in zip((index, index, codes), columns)
+    )
+    del columns  # transposed triples are not needed past the lookups
     bad = (src < 0) | (dst < 0) | (layer < 0) | (src == dst)
     if bad.any():
         _reject(records[int(np.argmax(bad))], index, codes)

@@ -11,7 +11,10 @@ File formats (all UTF-8, LF or CRLF):
 
 Parsers reject rather than repair: a bad line raises with its line
 number instead of being dropped.  Comma is the default delimiter; a tab
-in the header line switches to tab unless the manifest pins one.
+in the header line switches to tab unless the manifest pins one.  The
+edge and attribute files are read whole and split into columns in
+bulk; the first row that fails a check is handed to the one row
+checker, which words every row error.
 
 Each check runs once: the parsers here check file format, and
 :func:`manifest_from_dict` the manifest fields; layer declarations, node
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -40,7 +44,7 @@ from .errors import (
     UnknownLayer,
     UnknownNode,
 )
-from .graph import EdgeRecord, LayerSpec, MultiplexGraph, build_graph, check_layers
+from .graph import EdgeColumns, LayerSpec, MultiplexGraph, build_graph, check_layers
 
 EDGE_HEADER = ("source", "target", "layer")
 ATTRIBUTE_HEADER = ("node", "key", "value")
@@ -99,12 +103,8 @@ def _lines(stream: IO[str]) -> Iterable[tuple[int, str]]:
         yield line_no, raw.rstrip("\n").rstrip("\r")
 
 
-def _split_header(stream_lines, expected: tuple[str, ...], delimiter: str | None, what: str):
-    try:
-        line_no, raw = next(stream_lines)
-    except StopIteration:
-        raise MissingHeader(f"{what} file is empty") from None
-    raw = raw.lstrip("﻿")
+def _split_header(raw: str, expected: tuple[str, ...], delimiter: str | None, what: str) -> str:
+    raw = raw.rstrip("\r").lstrip("\ufeff")
     delim = delimiter or ("\t" if "\t" in raw else ",")
     fields = tuple(f.strip() for f in raw.split(delim))
     if fields != expected:
@@ -126,15 +126,59 @@ def _split_row(raw: str, delim: str, line_no: int, width: int) -> tuple[str, ...
     return parts
 
 
-def parse_edges(stream: IO[str], delimiter: str | None = None) -> list[EdgeRecord]:
-    """Parse an edge file into records, keeping line numbers for diagnostics."""
-    lines = _lines(stream)
-    delim = _split_header(lines, EDGE_HEADER, delimiter, "edge")
-    records = []
-    for line_no, raw in lines:
-        src, dst, layer = _split_row(raw, delim, line_no, 3)
-        records.append(EdgeRecord(src, dst, layer, line_no))
-    return records
+def _read_columns(
+    stream: IO[str], expected: tuple[str, ...], delimiter: str | None, what: str
+) -> tuple[list[list[str]], ParseError | None]:
+    """The stripped fields of a headed file, one list per column, read in bulk.
+
+    Row ``k`` is line ``k + 2``.  The columns stop before the first row
+    :func:`_split_row` rejects, and that row's error is returned with
+    them (``None`` when every row is good), so a caller can raise an
+    error of its own from an earlier row first.
+    """
+    # file iteration splits on "\n" alone; str.splitlines would also split on "\x0b", "\u2028", ...
+    lines = stream.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MissingHeader(f"{what} file is empty")
+    delim = _split_header(lines[0], expected, delimiter, what)
+    width = len(expected)
+    good = len(lines) - 1
+    if not set(map(str.count, islice(lines, 1, None), repeat(delim))) <= {width - 1}:
+        good = next(k for k, raw in enumerate(islice(lines, 1, None)) if raw.count(delim) != width - 1)
+    bad = lines[good + 1] if good + 1 < len(lines) else None
+    body = delim.join(islice(lines, 1, good + 1))
+    del lines
+    parts = body.split(delim) if good else []
+    del body
+    # "\r" is whitespace, so stripping each field also drops a CRLF ending
+    cells = list(map(str.strip, parts))
+    if "" in cells:  # an empty field, or a blank line of tab delimiters
+        good = cells.index("") // width
+        bad = delim.join(parts[good * width:(good + 1) * width])
+        del cells[good * width:]
+    del parts
+    error = None
+    if bad is not None:
+        try:
+            _split_row(bad, delim, good + 2, width)
+        except ParseError as exc:
+            error = exc
+    return [cells[j::width] for j in range(width)], error
+
+
+def parse_edges(stream: IO[str], delimiter: str | None = None) -> EdgeColumns:
+    """Parse an edge file into records, keeping line numbers for diagnostics.
+
+    The records are held as label columns (:class:`EdgeColumns`); each
+    row passes the same checks, with the same messages, as
+    :func:`_split_row` gives it.
+    """
+    columns, error = _read_columns(stream, EDGE_HEADER, delimiter, "edge")
+    if error is not None:
+        raise error
+    return EdgeColumns(*columns, first_line=2)
 
 
 def parse_nodes(stream: IO[str]) -> list[str]:
@@ -158,24 +202,27 @@ def _bucket_label(rules: tuple[BucketRule, ...], key: str, value: float, line_no
     )
 
 
-def _attribute_rows(
+def _attribute_columns(
     stream: IO[str], buckets: Mapping[str, tuple[BucketRule, ...]], delimiter: str | None
-) -> Iterator[tuple[int, str, str]]:
-    """``(line, node, token)`` of every attribute row, bucketed values replaced by their label."""
-    lines = _lines(stream)
-    delim = _split_header(lines, ATTRIBUTE_HEADER, delimiter, "attribute")
-    for line_no, raw in lines:
-        node, key, value = _split_row(raw, delim, line_no, 3)
-        if key in buckets:
-            try:
-                numeric = float(value)
-            except ValueError:
-                raise MalformedLine(
-                    f"key '{key}' is bucketed and needs a numeric value, got '{value}'",
-                    line_no,
-                ) from None
-            value = _bucket_label(buckets[key], key, numeric, line_no)
-        yield line_no, node, f"{key}:{value}"
+) -> tuple[list[str], list[str]]:
+    """The node and token columns of an attribute file, bucketed values replaced by their label.
+
+    The first bad row raises, whether its format or its bucketed value
+    is at fault.
+    """
+    (nodes, keys, values), error = _read_columns(stream, ATTRIBUTE_HEADER, delimiter, "attribute")
+    for k in [k for k, key in enumerate(keys) if key in buckets]:
+        key, value = keys[k], values[k]
+        try:
+            numeric = float(value)
+        except ValueError:
+            raise MalformedLine(
+                f"key '{key}' is bucketed and needs a numeric value, got '{value}'", k + 2
+            ) from None
+        values[k] = _bucket_label(buckets[key], key, numeric, k + 2)
+    if error is not None:
+        raise error
+    return nodes, list(map("{}:{}".format, keys, values))
 
 
 def parse_attributes(
@@ -187,12 +234,11 @@ def parse_attributes(
 
     Keys listed in ``buckets`` must carry numeric values, which are
     replaced by their bucket label; any other value is kept verbatim.
-    Duplicate rows collapse via set semantics.
+    Duplicate rows collapse via set semantics.  The table keeps the
+    line of each node's first row (:meth:`AttributeTable.first_line`).
     """
-    tokens: dict[str, set[str]] = {}
-    for _, node, token in _attribute_rows(stream, buckets or {}, delimiter):
-        tokens.setdefault(node, set()).add(token)
-    return AttributeTable(tokens)
+    nodes, tokens = _attribute_columns(stream, buckets or {}, delimiter)
+    return AttributeTable.from_rows(nodes, tokens, first_line=2)
 
 
 def _layer_spec_from_dict(doc: dict) -> LayerSpec:
@@ -326,17 +372,16 @@ def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
         path = manifest.nodes_path if isinstance(exc, DuplicateNodeLabel) else manifest.edges_path
         exc.args = (f"{path}: {exc}",)
         raise
+    del records  # the graph holds the ties now
 
     attributes = None
     if manifest.attributes_path is not None:
         with _open_input(manifest.attributes_path) as fh:
             attributes = parse_attributes(fh, buckets=manifest.buckets, delimiter=manifest.delimiter)
             unknown = set(attributes.labels()).difference(graph.labels)
-            if unknown:  # read the file again for the first row naming one
-                fh.seek(0)
-                rows = _attribute_rows(fh, manifest.buckets, manifest.delimiter)
-                line_no, node = next((line_no, node) for line_no, node, _ in rows if node in unknown)
-                raise UnknownNode(f"line {line_no}: unknown node label '{node}'")
+            if unknown:
+                node = min(unknown, key=attributes.first_line)
+                raise UnknownNode(f"line {attributes.first_line(node)}: unknown node label '{node}'")
 
     report = IngestionReport(
         node_count=graph.n_nodes,

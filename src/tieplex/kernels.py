@@ -3,7 +3,8 @@
 Every Jaccard term in the metrics is one division of integer counts,
 |A ∩ B| / (|A| + |B| - |A ∩ B|), and a closed wedge is a common
 neighbour of a linked pair.  :func:`intersection_counts` computes all
-such counts of one kernel call at once.
+such counts of one kernel call at once; :func:`row_intersections` gives
+the diagonal ones, ``|P[i] ∩ Q[i]|`` for every row ``i``.
 
 Memory stays flat whatever the degrees: Q's rows are marked in a dense
 boolean block of at most 1 MiB, and P's rows are probed against it at
@@ -109,6 +110,22 @@ def intersection_counts(P: CSR, Q: CSR, rows, cols) -> np.ndarray:
         for t, pos in _entries(Q.indptr, group):
             mark[t, Q.indices[pos]] = False
     return counts
+
+
+def row_intersections(P: CSR, Q: CSR) -> np.ndarray:
+    """``|P[i] ∩ Q[i]|`` for every row ``i``, as an int64 array.
+
+    Each stored entry ``(i, j)`` is the key ``i * n + j``; both key
+    arrays are sorted because the rows are, so one ``searchsorted``
+    finds which of P's keys Q holds.  Its temporaries grow with the
+    stored entries only.
+    """
+    n = len(P.indptr) - 1
+    rows = P.row_ids()
+    keys = rows * n + P.indices
+    held = np.append(Q.row_ids() * n + Q.indices, n * n)  # n * n exceeds every key
+    found = held[np.searchsorted(held, keys)] == keys
+    return np.bincount(rows[found], minlength=n)
 
 
 def jaccard_terms(inter: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .graph import LayerView
-from .kernels import CSR, intersection_counts, jaccard_terms
+from .kernels import CSR, intersection_counts, jaccard_terms, row_intersections
 
 
 class JaccardConvention(Enum):
@@ -192,8 +192,7 @@ def layer_metrics(view: LayerView) -> LayerMetrics:
 
 def _node_terms(P: CSR, Q: CSR) -> tuple[np.ndarray, list[float]]:
     """Per node i: |P[i] ∩ Q[i]| and jaccard(P[i], Q[i])."""
-    nodes = np.arange(len(P.indptr) - 1)
-    inter = intersection_counts(P, Q, nodes, nodes)
+    inter = row_intersections(P, Q)
     return inter, jaccard_terms(inter, P.degrees(), Q.degrees()).tolist()
 
 

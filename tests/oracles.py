@@ -3,20 +3,34 @@
 Everything here evaluates the defining formulas literally on adjacency
 matrices (triple loops, matrix closure, explicit correlation sums) and
 shares no code with the library paths it checks; only the
-``EquivalenceClass`` and ``PathStats`` record types, the error classes
-and the layer declaration check are imported.  ``path_stats_bfs`` is
-the one-source-at-a-time BFS that ``structure.path_stats`` replaced,
-kept as its reference.
+``EquivalenceClass``, ``PathStats`` and ``EdgeRecord`` record types,
+the error classes and the layer declaration check are imported.
+``path_stats_bfs`` is the one-source-at-a-time BFS that
+``structure.path_stats`` replaced, kept as its reference; likewise
+``parse_edges`` and ``_attribute_rows`` are the line-by-line parsers
+that the bulk column reader of ``tieplex.io`` replaced.
 """
 
 from __future__ import annotations
 
 import math
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from tieplex.errors import DuplicateNodeLabel, NotStronglyConnected, SelfTie, UnknownLayer, UnknownNode
-from tieplex.graph import check_layers
+from tieplex.errors import (
+    DuplicateNodeLabel,
+    EmptyField,
+    MalformedLine,
+    MissingHeader,
+    NotStronglyConnected,
+    SelfTie,
+    UnknownBucketKey,
+    UnknownLayer,
+    UnknownNode,
+)
+from tieplex.graph import EdgeRecord, check_layers
+from tieplex.io import BucketRule
 from tieplex.structure import EquivalenceClass, PathStats
 
 
@@ -393,3 +407,88 @@ def wedge_counts(x_wedge, closing: dict[str, list[list[int]]]):
                     any_count += 1
     closed["any"] = any_count
     return total, closed
+
+
+EDGE_HEADER = ("source", "target", "layer")
+ATTRIBUTE_HEADER = ("node", "key", "value")
+
+
+def _lines(stream: IO[str]) -> Iterable[tuple[int, str]]:
+    for line_no, raw in enumerate(stream, start=1):
+        yield line_no, raw.rstrip("\n").rstrip("\r")
+
+
+def _split_header(stream_lines, expected: tuple[str, ...], delimiter: str | None, what: str):
+    try:
+        line_no, raw = next(stream_lines)
+    except StopIteration:
+        raise MissingHeader(f"{what} file is empty") from None
+    raw = raw.lstrip("﻿")
+    delim = delimiter or ("\t" if "\t" in raw else ",")
+    fields = tuple(f.strip() for f in raw.split(delim))
+    if fields != expected:
+        raise MissingHeader(
+            f"{what} file must start with header '{','.join(expected)}', got '{raw}'"
+        )
+    return delim
+
+
+def _split_row(raw: str, delim: str, line_no: int, width: int) -> tuple[str, ...]:
+    if raw.strip() == "":
+        raise MalformedLine("blank line", line_no)
+    parts = tuple(p.strip() for p in raw.split(delim))
+    if len(parts) != width:
+        raise MalformedLine(f"expected {width} fields, got {len(parts)}", line_no)
+    for p in parts:
+        if p == "":
+            raise EmptyField("empty field", line_no)
+    return parts
+
+
+def parse_edges(stream: IO[str], delimiter: str | None = None) -> list[EdgeRecord]:
+    """Parse an edge file into records, keeping line numbers for diagnostics."""
+    lines = _lines(stream)
+    delim = _split_header(lines, EDGE_HEADER, delimiter, "edge")
+    records = []
+    for line_no, raw in lines:
+        src, dst, layer = _split_row(raw, delim, line_no, 3)
+        records.append(EdgeRecord(src, dst, layer, line_no))
+    return records
+
+
+def _bucket_label(rules: tuple[BucketRule, ...], key: str, value: float, line_no: int) -> str:
+    last = len(rules) - 1
+    for pos, rule in enumerate(rules):
+        if rule.lo <= value < rule.hi or (pos == last and value == rule.hi):
+            return rule.label
+    raise UnknownBucketKey(
+        f"no bucket for key '{key}' covers value {value!r}", line_no
+    )
+
+
+def _attribute_rows(
+    stream: IO[str], buckets: Mapping[str, tuple[BucketRule, ...]], delimiter: str | None
+) -> Iterator[tuple[int, str, str]]:
+    """``(line, node, token)`` of every attribute row, bucketed values replaced by their label."""
+    lines = _lines(stream)
+    delim = _split_header(lines, ATTRIBUTE_HEADER, delimiter, "attribute")
+    for line_no, raw in lines:
+        node, key, value = _split_row(raw, delim, line_no, 3)
+        if key in buckets:
+            try:
+                numeric = float(value)
+            except ValueError:
+                raise MalformedLine(
+                    f"key '{key}' is bucketed and needs a numeric value, got '{value}'",
+                    line_no,
+                ) from None
+            value = _bucket_label(buckets[key], key, numeric, line_no)
+        yield line_no, node, f"{key}:{value}"
+
+
+def attribute_table(stream: IO[str], buckets, delimiter: str | None = None) -> dict[str, set[str]]:
+    """Per-node token sets, grouped from :func:`_attribute_rows`."""
+    tokens: dict[str, set[str]] = {}
+    for _, node, token in _attribute_rows(stream, buckets, delimiter):
+        tokens.setdefault(node, set()).add(token)
+    return tokens

@@ -2,9 +2,10 @@ import random
 import tracemalloc
 
 import numpy as np
+from conftest import metric_corpus
 
 from tieplex import LayerSpec, build_graph, layer_metrics, wedge_closure
-from tieplex.kernels import CSR, intersection_counts
+from tieplex.kernels import CSR, intersection_counts, row_intersections
 
 
 def csr(sets):
@@ -52,3 +53,32 @@ def test_hub_graph_memory_stays_bounded():
         assert peak < 8 * 2**20
     assert result.total == (n - 1) * (n - 2) // 2 == 1_997_001
     assert result.closed == {"a": 0, "any": 0}
+
+
+def assert_diagonal(P, Q):
+    nodes = np.arange(len(P.indptr) - 1)
+    counts = row_intersections(P, Q)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == intersection_counts(P, Q, nodes, nodes).tolist()
+
+
+def test_row_intersections_match_intersection_counts_on_corpus():
+    for g in metric_corpus():
+        views = [g.view(name) for name in g.layer_names]
+        matrices = [m for v in views for m in (v.out, v.inn, v.und)]
+        for P in matrices:
+            for Q in matrices:
+                assert_diagonal(P, Q)
+
+
+def test_row_intersections_hub_empty_rows_and_empty_layer():
+    n = 2000
+    hub = csr([set(range(1, n))] + [{0} for _ in range(1, n)])
+    spokes = csr([set(range(1, n, 2))] + [{0} if k % 3 else set() for k in range(1, n)])
+    empty = csr([set() for _ in range(n)])
+    for P, Q in ((hub, spokes), (spokes, hub), (hub, hub), (hub, empty), (empty, spokes), (empty, empty)):
+        assert_diagonal(P, Q)
+    assert row_intersections(hub, spokes)[:4].tolist() == [n // 2, 1, 1, 0]
+    assert row_intersections(hub, empty).tolist() == [0] * n
+    none = csr([])
+    assert row_intersections(none, none).tolist() == []

@@ -436,11 +436,19 @@ def test_reports_unchanged_by_shuffled_edge_rows(tmp_path_factory, hundred, seed
         ("manifest.json", '{"nodes": "nodes.txt", "edges": "edges.csv", "layers": 5}', "'layers'"),
         ("manifest.json", '{"nodes": "nodes.txt", "edges": "gone.csv", "layers": [{"name": "x"}]}', "gone.csv"),
         ("attributes.csv", "node,key,value\na,g,F\nzz,g,M\nb,g,F\nyy,g,M\n", "line 3: unknown node label 'zz'"),
+        ("edges.csv", "source,target,layer\na,b,x\n\nb,c,x\n", "line 3: blank line"),
+        ("edges.csv", "source,target,layer\na,b,x\nb,c\n", "line 3: expected 3 fields, got 2"),
+        ("edges.csv", "source,target,layer\na,b,x,x\n", "line 2: expected 3 fields, got 4"),
+        ("edges.csv", "source,target,layer\na,b,x\nb,,x\n", "line 3: empty field"),
+        ("attributes.csv", "node,key,value\na,g,F\nb, \t ,F\n", "line 3: empty field"),
+        ("attributes.csv", "node,key,value\na,gpa,7.5\nb,gpa,high\n", "line 3: key 'gpa' is bucketed"),
+        ("attributes.csv", "node,key,value\na,gpa,7.5\nb,gpa,12\n", "line 3: no bucket for key 'gpa'"),
     ],
     ids=[
         "self-tie", "unknown-node", "aggregate-edge", "duplicate-label",
         "edges-not-utf8", "manifest-not-utf8", "manifest-field-type", "manifest-names-missing-file",
-        "attribute-unknown-node",
+        "attribute-unknown-node", "blank-line", "short-row", "long-row", "empty-field",
+        "whitespace-field", "bucket-not-numeric", "bucket-out-of-range",
     ],
 )
 def test_cli_bad_input_exit_2_names_file(tmp_path, capsys, name, content, where):
@@ -448,8 +456,12 @@ def test_cli_bad_input_exit_2_names_file(tmp_path, capsys, name, content, where)
     (tmp_path / "edges.csv").write_text("source,target,layer\na,b,x\n", encoding="utf-8")
     (tmp_path / "attributes.csv").write_text("node,key,value\na,g,F\n", encoding="utf-8")
     layers = [{"name": "x"}, {"name": "u", "kind": "aggregate", "constituents": ["x"]}]
+    buckets = {"gpa": [{"label": "low", "min": 6, "max": 8}, {"label": "high", "min": 8, "max": 10}]}
     (tmp_path / "manifest.json").write_text(
-        json.dumps({"nodes": "nodes.txt", "edges": "edges.csv", "attributes": "attributes.csv", "layers": layers}),
+        json.dumps({
+            "nodes": "nodes.txt", "edges": "edges.csv", "attributes": "attributes.csv",
+            "layers": layers, "buckets": buckets,
+        }),
         encoding="utf-8",
     )
     path = tmp_path / name
@@ -461,3 +473,5 @@ def test_cli_bad_input_exit_2_names_file(tmp_path, capsys, name, content, where)
     err = capsys.readouterr().err
     assert f"error: {path}: " in err
     assert where in err
+    if where.startswith("line "):
+        assert f"error: {path}: {where}" in err
