@@ -126,14 +126,19 @@ class LayerView:
     __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und")
 
     def __init__(self, name: str, n_nodes: int, keys: np.ndarray):
-        rows, cols = np.divmod(keys, n_nodes)
-        transposed = np.sort(cols * n_nodes + rows)
         self.name = name
         self.n_nodes = n_nodes
         self.n_edges = len(keys)
-        self.out = CSR.from_keys(keys, n_nodes)
+        rows, cols = np.divmod(keys, n_nodes)
+        self.out = CSR.from_pairs(rows, cols, n_nodes)
+        transposed = cols * n_nodes
+        transposed += rows
+        del rows, cols  # each temporary goes as soon as its CSR is built
+        transposed.sort()
         self.inn = CSR.from_keys(transposed, n_nodes)
-        self.und = CSR.from_keys(_merge(keys, transposed), n_nodes)
+        merged = _merge(keys, transposed)
+        del transposed
+        self.und = CSR.from_keys(merged, n_nodes)
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
@@ -373,5 +378,6 @@ def _firsts(ranked: np.ndarray) -> np.ndarray:
 
 def _merge(*sorted_keys: np.ndarray) -> np.ndarray:
     """Sorted union of sorted arrays (a stable sort merges their runs)."""
-    merged = np.sort(np.concatenate(sorted_keys), kind="stable")
+    merged = np.concatenate(sorted_keys)
+    merged.sort(kind="stable")
     return merged[_firsts(merged)]

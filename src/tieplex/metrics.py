@@ -14,14 +14,15 @@ explicit option of :func:`jaccard`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .graph import LayerView
-from .kernels import CSR, intersection_counts, jaccard_terms, row_intersections
+from .kernels import CSR, intersection_counts, jaccard_terms, row_intersections, row_means
 
 
 class JaccardConvention(Enum):
@@ -85,19 +86,45 @@ class ActorMetrics:
     triplet_closure: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerMetrics:
-    """All actor records of a layer plus whole-layer averages.
+    """All actor metrics of a layer, one numpy column per field, plus whole-layer averages.
 
-    Averages divide by the full node count, so isolates contribute 0
-    and averages stay comparable across layers of one multiplex.
+    Entry ``i`` of every column belongs to node ``i``.  Averages divide
+    by the full node count, so isolates contribute 0 and averages stay
+    comparable across layers of one multiplex.  The per-actor records
+    are built on first access to :attr:`actors`.
     """
 
     layer: str
-    actors: tuple[ActorMetrics, ...]
     avg_reciprocity: float
     avg_cycle_closure: float
     avg_triplet_closure: float
+    out_degree: np.ndarray = field(repr=False)
+    in_degree: np.ndarray = field(repr=False)
+    reciprocated: np.ndarray = field(repr=False)
+    reciprocity: np.ndarray = field(repr=False)
+    three_cycles: np.ndarray = field(repr=False)
+    cycle_closure: np.ndarray = field(repr=False)
+    triplets: np.ndarray = field(repr=False)
+    triplet_closure: np.ndarray = field(repr=False)
+
+    @cached_property
+    def actors(self) -> tuple[ActorMetrics, ...]:
+        """One :class:`ActorMetrics` per node, in node order."""
+        columns = (
+            self.out_degree, self.in_degree, self.reciprocated, self.reciprocity,
+            self.three_cycles, self.cycle_closure, self.triplets, self.triplet_closure,
+        )
+        return tuple(ActorMetrics(i, *row) for i, row in enumerate(zip(*(c.tolist() for c in columns))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LayerMetrics):
+            return NotImplemented
+        compared = ("layer", "avg_reciprocity", "avg_cycle_closure", "avg_triplet_closure", "actors")
+        return all(getattr(self, name) == getattr(other, name) for name in compared)
+
+    __hash__ = None
 
 
 def reciprocated_count(view: LayerView, i: int) -> int:
@@ -169,34 +196,29 @@ def layer_metrics(view: LayerView) -> LayerMetrics:
     reciprocated, recip = _node_terms(out, inn)
     cycles, cycle = _closure(out, inn, inn)
     triplets, triplet = _closure(out, out, out)
-    columns = zip(
-        range(n),
-        out.degrees().tolist(),
-        inn.degrees().tolist(),
-        reciprocated.tolist(),
-        recip,
-        cycles.tolist(),
-        cycle,
-        triplets.tolist(),
-        triplet,
-    )
-    actors = tuple(ActorMetrics(*row) for row in columns)
     return LayerMetrics(
         layer=view.name,
-        actors=actors,
         avg_reciprocity=_mean(recip, n),
         avg_cycle_closure=_mean(cycle, n),
         avg_triplet_closure=_mean(triplet, n),
+        out_degree=out.degrees(),
+        in_degree=inn.degrees(),
+        reciprocated=reciprocated,
+        reciprocity=recip,
+        three_cycles=cycles,
+        cycle_closure=cycle,
+        triplets=triplets,
+        triplet_closure=triplet,
     )
 
 
-def _node_terms(P: CSR, Q: CSR) -> tuple[np.ndarray, list[float]]:
+def _node_terms(P: CSR, Q: CSR) -> tuple[np.ndarray, np.ndarray]:
     """Per node i: |P[i] ∩ Q[i]| and jaccard(P[i], Q[i])."""
     inter = row_intersections(P, Q)
-    return inter, jaccard_terms(inter, P.degrees(), Q.degrees()).tolist()
+    return inter, jaccard_terms(inter, P.degrees(), Q.degrees())
 
 
-def _closure(anchor: CSR, walk: CSR, compared: CSR) -> tuple[np.ndarray, list[float]]:
+def _closure(anchor: CSR, walk: CSR, compared: CSR) -> tuple[np.ndarray, np.ndarray]:
     """Closure counts and scores of every node i, walking h over walk[i].
 
     Returns the sum of |anchor[i] ∩ compared[h]| and the mean of
@@ -205,14 +227,11 @@ def _closure(anchor: CSR, walk: CSR, compared: CSR) -> tuple[np.ndarray, list[fl
     """
     nodes = walk.row_ids()
     inter = intersection_counts(anchor, compared, nodes, walk.indices)
-    terms = jaccard_terms(inter, anchor.degrees()[nodes], compared.degrees()[walk.indices]).tolist()
-    bounds = walk.indptr.tolist()
-    means = [math.fsum(terms[s:e]) / (e - s) if e > s else 0.0 for s, e in zip(bounds, bounds[1:])]
+    terms = jaccard_terms(inter, anchor.degrees()[nodes], compared.degrees()[walk.indices])
     sums = np.diff(np.concatenate(([0], np.cumsum(inter)))[walk.indptr])
-    return sums, means
+    return sums, row_means(terms, walk.indptr)
 
 
-def _mean(values: Iterable[float], count: int) -> float:
-    if count == 0:
-        return 0.0
-    return math.fsum(values) / count
+def _mean(values: Sequence[float] | np.ndarray, count: int) -> float:
+    """``math.fsum(values) / count`` bit for bit over ``count`` values, 0 for none."""
+    return float(row_means(np.asarray(values, dtype=np.float64), np.array([0, count]))[0])

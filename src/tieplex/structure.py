@@ -293,17 +293,18 @@ def structural_equivalence(
     """
     if not tolerance >= 0:  # also rejects NaN
         raise InvalidParameter(f"tolerance must be >= 0, got {tolerance!r}")
-    actors = [
-        a
-        for a in layer_metrics(view).actors
-        if (out_degree is None or a.out_degree == out_degree)
-        and (in_degree is None or a.in_degree == in_degree)
-    ]
-    triples = [(a.reciprocity, a.cycle_closure, a.triplet_closure) for a in actors]
-    packed = np.array(triples, dtype=np.float64).reshape(-1, 3)
-    alive = np.ones(len(actors), dtype=bool)
+    metrics = layer_metrics(view)
+    keep = np.ones(len(metrics.reciprocity), dtype=bool)
+    if out_degree is not None:
+        keep &= metrics.out_degree == out_degree
+    if in_degree is not None:
+        keep &= metrics.in_degree == in_degree
+    nodes = np.flatnonzero(keep).tolist()
+    packed = np.column_stack((metrics.reciprocity, metrics.cycle_closure, metrics.triplet_closure))[keep]
+    triples = packed.tolist()
+    alive = np.ones(len(nodes), dtype=bool)
     classes: list[EquivalenceClass] = []
-    for seed in range(len(actors)):
+    for seed in range(len(nodes)):
         if not alive[seed]:
             continue
         # Only nodes within the tolerance of the seed can join its class;
@@ -322,12 +323,13 @@ def structural_equivalence(
                 members.append(cand)
                 lo, hi = tuple(map(min, lo, t)), tuple(map(max, hi, t))
         alive[members] = False
+        recip, cycle, triplet = triples[seed]
         classes.append(
             EquivalenceClass(
-                members=tuple(actors[m].node for m in members),
-                reciprocity=actors[seed].reciprocity,
-                cycle_closure=actors[seed].cycle_closure,
-                triplet_closure=actors[seed].triplet_closure,
+                members=tuple(nodes[m] for m in members),
+                reciprocity=recip,
+                cycle_closure=cycle,
+                triplet_closure=triplet,
                 tolerance=tolerance,
             )
         )

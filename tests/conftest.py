@@ -1,6 +1,6 @@
 import pytest
 
-from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic
+from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels
 
 
 def single(edges, n):
@@ -46,3 +46,24 @@ def transitive_triplet():
 @pytest.fixture
 def mutual_dyad():
     return single([(0, 1), (1, 0)], 2)
+
+
+def force_probe(monkeypatch):
+    """Send every ``intersection_counts`` call to the sorted-key probe: no dense matrix fits a 0-byte budget."""
+    monkeypatch.setattr(kernels, "_DENSE_BYTES", 0)
+
+
+@pytest.fixture(params=["dense", "probe"])
+def kernel_path(request, monkeypatch):
+    """Run a test once on each ``intersection_counts`` strategy; yields the calls each strategy got."""
+    if request.param == "probe":
+        force_probe(monkeypatch)
+    calls = {"dense": 0, "probe": 0}
+    for name, key in (("_dense", "dense"), ("_probe_counts", "probe")):
+        def counted(*args, _real=getattr(kernels, name), _key=key):
+            calls[_key] += 1
+            return _real(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    yield calls
+    other = "probe" if request.param == "dense" else "dense"
+    assert calls[request.param] and not calls[other], calls

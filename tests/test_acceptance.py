@@ -5,6 +5,7 @@ prints one PASS/FAIL line (visible with ``pytest -s``).
 """
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -41,11 +42,10 @@ from tieplex import (
 from tieplex.cli import main
 from tieplex.report import endogenous_report, summary_report
 from tieplex.io import load_dataset
-from tieplex.metrics import _mean
 from tieplex.structure import largest_scc
 
 import oracles
-from conftest import metric_corpus, two_layer
+from conftest import force_probe, metric_corpus, two_layer
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
 TOL = 1e-12
@@ -281,28 +281,42 @@ def test_criterion_10_attribute_oracle_and_relabel_invariance():
 
 def test_criterion_11_kernels_match_set_reference_bitwise():
     with criterion(11, "layer and cross-layer kernels equal the per-actor set functions bitwise"):
-        edge_cases = [
-            two_layer([], [], 4),  # all isolates
-            two_layer([(0, 1), (1, 2), (2, 0), (0, 2)], [], 3),  # layer b has no edges
-            two_layer([(0, 1)], [(1, 0)], 2),  # n = 2
-            # in a, 0 -> 1 and 2 -> 3 come from nodes with no in-ties into
-            # nodes with no out-ties: both-empty cycle terms at 1 and 3
-            two_layer([(0, 1), (2, 3)], [(1, 2), (3, 0)], 4),
-        ]
-        for g in [*metric_corpus(200), *edge_cases]:
-            n = g.n_nodes
-            for alpha in g.layer_names:
-                v = g.view(alpha)
-                lm = layer_metrics(v)
-                actors = tuple(actor_metrics(v, i) for i in range(n))
-                assert lm.actors == actors
-                assert lm.avg_reciprocity == _mean([a.reciprocity for a in actors], n)
-                assert lm.avg_cycle_closure == _mean([a.cycle_closure for a in actors], n)
-                assert lm.avg_triplet_closure == _mean([a.triplet_closure for a in actors], n)
-                for beta in g.layer_names:
-                    table = cross_layer_table(g, alpha, beta)
-                    fields = ("reciprocity", "cycle_closure", "triplet_closure", "overlap_out", "overlap_in")
-                    expected = CrossLayerAverages(
-                        alpha, beta, *(_mean([getattr(r, f) for r in table], n) for f in fields)
-                    )
-                    assert cross_layer_averages(g, alpha, beta) == expected
+        check_kernels_match_set_reference()
+
+
+def test_criterion_11_kernels_match_set_reference_bitwise_on_probe_path(monkeypatch):
+    force_probe(monkeypatch)
+    check_kernels_match_set_reference()
+
+
+def fsum_mean(values, n):
+    """The reference layer average: ``math.fsum`` over all ``n`` nodes, 0 for no nodes."""
+    return math.fsum(values) / n if n else 0.0
+
+
+def check_kernels_match_set_reference():
+    edge_cases = [
+        two_layer([], [], 4),  # all isolates
+        two_layer([(0, 1), (1, 2), (2, 0), (0, 2)], [], 3),  # layer b has no edges
+        two_layer([(0, 1)], [(1, 0)], 2),  # n = 2
+        # in a, 0 -> 1 and 2 -> 3 come from nodes with no in-ties into
+        # nodes with no out-ties: both-empty cycle terms at 1 and 3
+        two_layer([(0, 1), (2, 3)], [(1, 2), (3, 0)], 4),
+    ]
+    for g in [*metric_corpus(200), *edge_cases]:
+        n = g.n_nodes
+        for alpha in g.layer_names:
+            v = g.view(alpha)
+            lm = layer_metrics(v)
+            actors = tuple(actor_metrics(v, i) for i in range(n))
+            assert lm.actors == actors
+            assert lm.avg_reciprocity == fsum_mean([a.reciprocity for a in actors], n)
+            assert lm.avg_cycle_closure == fsum_mean([a.cycle_closure for a in actors], n)
+            assert lm.avg_triplet_closure == fsum_mean([a.triplet_closure for a in actors], n)
+            for beta in g.layer_names:
+                table = cross_layer_table(g, alpha, beta)
+                fields = ("reciprocity", "cycle_closure", "triplet_closure", "overlap_out", "overlap_in")
+                expected = CrossLayerAverages(
+                    alpha, beta, *(fsum_mean([getattr(r, f) for r in table], n) for f in fields)
+                )
+                assert cross_layer_averages(g, alpha, beta) == expected

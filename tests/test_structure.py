@@ -370,7 +370,9 @@ def test_structural_equivalence_matches_greedy_reference_on_rounding_edges(monke
             )
             for i in range(60)
         )
-        monkeypatch.setattr("tieplex.structure.layer_metrics", lambda view: SimpleNamespace(actors=actors))
+        fields = ("out_degree", "in_degree", "reciprocity", "cycle_closure", "triplet_closure")
+        columns = SimpleNamespace(**{f: np.array([getattr(a, f) for a in actors]) for f in fields})
+        monkeypatch.setattr("tieplex.structure.layer_metrics", lambda view: columns)
         for tolerance in (0.1, 0.2, 0.3, 0.5):
             assert structural_equivalence(v, tolerance) == oracles.equivalence_greedy(actors, tolerance)
 
