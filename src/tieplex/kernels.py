@@ -195,15 +195,14 @@ def row_means(terms: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     smallest nonzero term, every term times 2**S is an integer of at
     most 72 bits.  Its two 36-bit halves are summed per row exactly in
     int64, and ``hi * 2**36 + lo`` rounds the exact sum once, as
-    ``fsum`` does.  Terms that need S > 72, a row of 2**17 or more terms
-    or a term outside [0, 1] fall back to ``fsum``.
+    ``fsum`` does.  Terms that need S > 72 or a row of 2**17 or more
+    terms fall back to ``fsum``.
     """
     lengths = np.diff(indptr)
     means = np.zeros(len(lengths), dtype=np.float64)
     positive = terms[terms > 0]
     shift = 53 - int(np.frexp(positive.min())[1]) if len(positive) else 0
-    in_range = terms.min(initial=0) >= 0 and terms.max(initial=0) <= 1  # False for NaN
-    if shift > 72 or lengths.max(initial=0) >= 1 << 17 or not in_range:
+    if shift > 72 or lengths.max(initial=0) >= 1 << 17:
         bounds, values = indptr.tolist(), terms.tolist()
         fsums = [math.fsum(values[s:e]) / (e - s) if e > s else 0.0 for s, e in zip(bounds, bounds[1:])]
         return np.array(fsums, dtype=np.float64)

@@ -196,11 +196,7 @@ def layer_metrics(view: LayerView) -> LayerMetrics:
     reciprocated, recip = _node_terms(out, inn)
     cycles, cycle = _closure(out, inn, inn)
     triplets, triplet = _closure(out, out, out)
-    return LayerMetrics(
-        layer=view.name,
-        avg_reciprocity=_mean(recip, n),
-        avg_cycle_closure=_mean(cycle, n),
-        avg_triplet_closure=_mean(triplet, n),
+    columns = dict(
         out_degree=out.degrees(),
         in_degree=inn.degrees(),
         reciprocated=reciprocated,
@@ -209,6 +205,16 @@ def layer_metrics(view: LayerView) -> LayerMetrics:
         cycle_closure=cycle,
         triplets=triplets,
         triplet_closure=triplet,
+    )
+    for column in columns.values():
+        # read-only, so the columns stay in step with the cached records
+        column.setflags(write=False)
+    return LayerMetrics(
+        layer=view.name,
+        avg_reciprocity=_mean(recip, n),
+        avg_cycle_closure=_mean(cycle, n),
+        avg_triplet_closure=_mean(triplet, n),
+        **columns,
     )
 
 

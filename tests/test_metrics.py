@@ -2,6 +2,7 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 import oracles
 from tieplex import (
@@ -94,6 +95,15 @@ def test_layer_metrics_averages(three_cycle):
 
     v = single([(0, 1), (1, 0), (0, 2)], 3)
     assert layer_metrics(v).avg_reciprocity == (0.5 + 1.0 + 0.0) / 3
+
+
+def test_layer_metrics_columns_are_read_only(three_cycle):
+    lm = layer_metrics(three_cycle)
+    for column in (lm.out_degree, lm.in_degree, lm.reciprocated, lm.reciprocity,
+                   lm.three_cycles, lm.cycle_closure, lm.triplets, lm.triplet_closure):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert lm.actors[0].cycle_closure == 1.0
 
 
 def test_actor_metric_bounds():
