@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
-from typing import Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .crosslayer import attribute_metrics, cross_layer_averages
 from .errors import InvalidParameter, MissingAttributes
@@ -45,14 +45,29 @@ CONVENTIONS = {
 }
 
 
-def _base(report_name: str, parameters: dict, columns: Sequence[str], rows: list[dict]) -> dict:
+def _base(report_name: str, parameters: dict, columns: Sequence[str], rows: list[dict], **extra) -> dict:
     return {
         "report": report_name,
         "conventions": dict(CONVENTIONS),
         "parameters": parameters,
         "columns": list(columns),
         "rows": rows,
+        **extra,
     }
+
+
+def _rows(columns: Sequence[str], records: Iterable, **renames) -> list[dict]:
+    """One row per record, each column read off the record attribute of that name.
+
+    ``renames`` maps a column to another attribute name, or to a
+    function of the record for a cell no attribute holds.  ``records`` is
+    iterated once, so a generator frees each record after its row.
+    """
+    cells = [(c, renames.get(c, c)) for c in columns]
+    return [
+        {c: cell(r) if callable(cell) else getattr(r, cell) for c, cell in cells}
+        for r in records
+    ]
 
 
 def summary_report(dataset: LoadedDataset) -> dict:
@@ -62,49 +77,24 @@ def summary_report(dataset: LoadedDataset) -> dict:
         "layer", "nodes", "edges", "avg_total_degree", "assortativity",
         "scc_nodes", "scc_edges", "avg_path", "diameter",
     ]
-    rows = []
-    directed = {}
-    for name in g.layer_names:
-        view = g.view(name)
-        s = layer_summary(view)
-        rows.append(
-            {
-                "layer": s.layer,
-                "nodes": s.n_nodes,
-                "edges": s.n_edges,
-                "avg_total_degree": s.avg_total_degree,
-                "assortativity": s.assortativity,
-                "scc_nodes": s.scc_nodes,
-                "scc_edges": s.scc_edges,
-                "avg_path": s.avg_path,
-                "diameter": s.diameter,
-            }
-        )
-        directed[name] = {
-            f"{a}_{b}": directed_degree_assortativity(view, a, b)
+    views = [g.view(name) for name in g.layer_names]
+    rows = _rows(columns, (layer_summary(v) for v in views), nodes="n_nodes", edges="n_edges")
+    directed = {
+        v.name: {
+            f"{a}_{b}": directed_degree_assortativity(v, a, b)
             for a in ("out", "in")
             for b in ("out", "in")
         }
-    report = _base("summary", {}, columns, rows)
-    report["details"] = {"directed_assortativity": directed}
-    return report
+        for v in views
+    }
+    return _base("summary", {}, columns, rows, details={"directed_assortativity": directed})
 
 
 def endogenous_report(dataset: LoadedDataset) -> dict:
     """Per-layer averages of reciprocity and the two closure scores."""
     g = dataset.graph
     columns = ["layer", "avg_reciprocity", "avg_cycle_closure", "avg_triplet_closure"]
-    rows = []
-    for name in g.layer_names:
-        lm = layer_metrics(g.view(name))
-        rows.append(
-            {
-                "layer": name,
-                "avg_reciprocity": lm.avg_reciprocity,
-                "avg_cycle_closure": lm.avg_cycle_closure,
-                "avg_triplet_closure": lm.avg_triplet_closure,
-            }
-        )
+    rows = _rows(columns, (layer_metrics(g.view(name)) for name in g.layer_names))
     return _base("endogenous", {}, columns, rows)
 
 
@@ -142,20 +132,7 @@ def cross_report(dataset: LoadedDataset, pairs: Sequence[tuple[str, str]] | None
         "alpha", "beta", "avg_reciprocity", "avg_cycle_closure",
         "avg_triplet_closure", "avg_overlap_out", "avg_overlap_in",
     ]
-    rows = []
-    for alpha, beta in resolved:
-        avg = cross_layer_averages(g, alpha, beta)
-        rows.append(
-            {
-                "alpha": alpha,
-                "beta": beta,
-                "avg_reciprocity": avg.avg_reciprocity,
-                "avg_cycle_closure": avg.avg_cycle_closure,
-                "avg_triplet_closure": avg.avg_triplet_closure,
-                "avg_overlap_out": avg.avg_overlap_out,
-                "avg_overlap_in": avg.avg_overlap_in,
-            }
-        )
+    rows = _rows(columns, (cross_layer_averages(g, alpha, beta) for alpha, beta in resolved))
     return _base("cross", {"pairs": [list(p) for p in resolved]}, columns, rows)
 
 
@@ -171,50 +148,26 @@ def equivalence_report(
         g.view(layer), tolerance=tolerance, out_degree=out_degree, in_degree=in_degree
     )
     columns = ["class", "size", "members", "reciprocity", "cycle_closure", "triplet_closure"]
-    rows = []
-    for idx, cls in enumerate(classes):
-        rows.append(
-            {
-                "class": idx,
-                "size": len(cls.members),
-                "members": ";".join(g.node_label(m) for m in cls.members),
-                "reciprocity": cls.reciprocity,
-                "cycle_closure": cls.cycle_closure,
-                "triplet_closure": cls.triplet_closure,
-            }
-        )
-    params = {
-        "layer": layer,
-        "tolerance": tolerance,
-        "out_degree": out_degree,
-        "in_degree": in_degree,
-    }
+    rows = [
+        dict(zip(columns, (
+            idx, len(c.members), ";".join(g.node_label(m) for m in c.members),
+            c.reciprocity, c.cycle_closure, c.triplet_closure,
+        )))
+        for idx, c in enumerate(classes)
+    ]
+    params = {"layer": layer, "tolerance": tolerance, "out_degree": out_degree, "in_degree": in_degree}
     return _base("equivalence", params, columns, rows)
 
 
 def wedge_report(dataset: LoadedDataset, wedge_layer: str, closing_layers: Sequence[str]) -> dict:
-    g = dataset.graph
-    result = wedge_closure(g, wedge_layer, closing_layers)
+    result = wedge_closure(dataset.graph, wedge_layer, closing_layers)
     columns = ["wedge_layer", "closing_layer", "closed_count", "closed_pct"]
-    rows = []
-    for name in list(closing_layers) + ["any"]:
-        rows.append(
-            {
-                "wedge_layer": wedge_layer,
-                "closing_layer": name,
-                "closed_count": result.closed[name],
-                "closed_pct": result.pct[name],
-            }
-        )
-    report = _base(
-        "wedges",
-        {"wedge_layer": wedge_layer, "closing_layers": list(closing_layers)},
-        columns,
-        rows,
-    )
-    report["total_wedges"] = result.total
-    report["no_wedges"] = result.no_wedges
-    return report
+    rows = [
+        dict(zip(columns, (wedge_layer, name, result.closed[name], result.pct[name])))
+        for name in [*closing_layers, "any"]
+    ]
+    params = {"wedge_layer": wedge_layer, "closing_layers": list(closing_layers)}
+    return _base("wedges", params, columns, rows, total_wedges=result.total, no_wedges=result.no_wedges)
 
 
 def attribute_report(dataset: LoadedDataset, layer: str) -> dict:
@@ -223,18 +176,74 @@ def attribute_report(dataset: LoadedDataset, layer: str) -> dict:
     g = dataset.graph
     records, baseline = attribute_metrics(g, layer, dataset.attributes)
     columns = ["node", "layer", "out_similarity", "in_similarity"]
-    rows = [
-        {
-            "node": g.node_label(r.node),
-            "layer": r.layer,
-            "out_similarity": r.out_similarity,
-            "in_similarity": r.in_similarity,
-        }
-        for r in records
-    ]
-    report = _base("attributes", {"layer": layer}, columns, rows)
-    report["baseline"] = baseline
-    return report
+    rows = _rows(columns, records, node=lambda r: g.node_label(r.node))
+    return _base("attributes", {"layer": layer}, columns, rows, baseline=baseline)
+
+
+def _parse_pairs(text: str) -> list[tuple[str, str]]:
+    pairs = []
+    for chunk in text.split(","):
+        parts = chunk.split(":")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise InvalidParameter(f"bad pair '{chunk}': expected 'alpha:beta'")
+        pairs.append((parts[0], parts[1]))
+    return pairs
+
+
+class ReportVerb(NamedTuple):
+    """One report verb of the command line.
+
+    ``options`` are the ``add_argument`` calls beyond the shared
+    ``--manifest``/``--out``/``--format``; ``run`` makes the report from a
+    loaded dataset and the parsed arguments.
+    """
+
+    help: str
+    options: tuple[tuple[str, dict], ...]
+    run: Callable[[LoadedDataset, Any], dict]
+
+
+# Each ``run`` looks its ``*_report`` function up when called, so a
+# rebound module global (a tracer's wrapper, say) is the one that runs.
+REPORTS: dict[str, ReportVerb] = {
+    "summary": ReportVerb("structural summary per layer", (), lambda ds, args: summary_report(ds)),
+    "endogenous": ReportVerb(
+        "reciprocity and closure averages per layer", (), lambda ds, args: endogenous_report(ds)
+    ),
+    "cross": ReportVerb(
+        "cross-layer averages per ordered pair",
+        (("--pairs", {"help": "override pair list, e.g. 'a:b,b:a'"}),),
+        lambda ds, args: cross_report(ds, None if args.pairs is None else _parse_pairs(args.pairs)),
+    ),
+    "equiv": ReportVerb(
+        "structural-equivalence classes of one layer",
+        (
+            ("--layer", {"required": True}),
+            ("--tolerance", {"type": float, "default": 0.0}),
+            ("--dout", {"type": int, "help": "restrict to this out-degree"}),
+            ("--din", {"type": int, "help": "restrict to this in-degree"}),
+        ),
+        lambda ds, args: equivalence_report(
+            ds, args.layer, tolerance=args.tolerance, out_degree=args.dout, in_degree=args.din
+        ),
+    ),
+    "wedges": ReportVerb(
+        "wedge closure of one layer by others",
+        (
+            ("--wedge-layer", {"required": True}),
+            ("--closing-layers", {"help": "comma list (default: all basic layers)"}),
+        ),
+        lambda ds, args: wedge_report(ds, args.wedge_layer, (
+            list(ds.graph.basic_layer_names) if args.closing_layers is None
+            else args.closing_layers.split(",")
+        )),
+    ),
+    "attrs": ReportVerb(
+        "attribute similarity along one layer's ties",
+        (("--layer", {"required": True}),),
+        lambda ds, args: attribute_report(ds, args.layer),
+    ),
+}
 
 
 def _json_safe(value):

@@ -289,10 +289,13 @@ def structural_equivalence(
     the only nodes that can join its class, so the Python work grows
     with those candidates, not with every remaining node.  The optional
     degree filter restricts grouping to nodes with the given out- and/or
-    in-degree.
+    in-degree; a negative degree raises :class:`InvalidParameter`.
     """
     if not tolerance >= 0:  # also rejects NaN
         raise InvalidParameter(f"tolerance must be >= 0, got {tolerance!r}")
+    for name, degree in (("out_degree", out_degree), ("in_degree", in_degree)):
+        if degree is not None and degree < 0:
+            raise InvalidParameter(f"{name} must be >= 0, got {degree!r}")
     metrics = layer_metrics(view)
     keep = np.ones(len(metrics.reciprocity), dtype=bool)
     if out_degree is not None:

@@ -3,6 +3,18 @@ import pytest
 from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels
 
 
+# Every report verb with the arguments it requires, each layer argument
+# naming a layer called "all"; test_report_cli checks it against report.REPORTS.
+REPORT_VERBS = (
+    ["summary"],
+    ["endogenous"],
+    ["cross"],
+    ["equiv", "--layer", "all"],
+    ["wedges", "--wedge-layer", "all"],
+    ["attrs", "--layer", "all"],
+)
+
+
 def single(edges, n):
     """One-layer graph on nodes '0'..'n-1' with integer-pair edges."""
     labels = [str(k) for k in range(n)]

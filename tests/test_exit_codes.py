@@ -15,19 +15,13 @@ from hypothesis import strategies as st
 from tieplex import TieplexError, load_dataset, load_manifest, write_demo_dataset
 from tieplex.cli import main
 
+from conftest import REPORT_VERBS
+
 FILES = ("manifest.json", "nodes.txt", "edges.csv", "attributes.csv")
 KINDS = ("overwrite", "delete", "truncate", "insert")
 TOKENS = (b",", b"\n", b"\t", b"nan", b"null", b"{}")
 PAYLOADS = st.one_of(st.sampled_from(TOKENS), st.binary(min_size=1, max_size=1))
-VERBS = (
-    ["summary"],
-    ["endogenous"],
-    ["cross"],
-    ["equiv", "--layer", "all"],
-    ["wedges", "--wedge-layer", "all"],
-    ["attrs", "--layer", "all"],
-    ["validate"],
-)
+VERBS = (*REPORT_VERBS, ["validate"])
 
 
 @pytest.fixture(scope="module")

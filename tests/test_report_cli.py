@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tieplex import load_dataset, write_demo_dataset
 from tieplex.cli import main
 from tieplex.report import (
+    REPORTS,
     attribute_report,
     cross_report,
     endogenous_report,
@@ -26,6 +27,8 @@ from tieplex.report import (
     summary_report,
     wedge_report,
 )
+
+from conftest import REPORT_VERBS
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
 # sha256 of every report verb and format on data/demo, keyed by CLI arguments
@@ -266,13 +269,33 @@ def test_cli_unknown_layer_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "verb",
+    "argv, message",
     [
-        ["summary"], ["endogenous"], ["cross"], ["equiv", "--layer", "all"],
-        ["wedges", "--wedge-layer", "all"], ["attrs", "--layer", "all"],
+        (["cross", "--pairs", ""], "bad pair ''"),
+        (["wedges", "--wedge-layer", "all", "--closing-layers", ""], "unknown layer ''"),
     ],
-    ids=lambda verb: verb[0],
+    ids=["pairs", "closing-layers"],
 )
+def test_cli_empty_list_value_exit_2(capsys, argv, message):
+    # an empty value is a list with one empty name, not the default list
+    assert run_cli(*argv, "--manifest", str(DATA / "manifest.json")) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, name", [("--dout", "out_degree"), ("--din", "in_degree")])
+def test_cli_equiv_negative_degree_exit_2(capsys, flag, name):
+    assert run_cli("equiv", "--manifest", str(DATA / "manifest.json"), "--layer", "all", flag, "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+def test_report_verbs_list_every_report():
+    # a verb missing here would skip the exit-code fuzz and the empty-graph test
+    assert {verb[0] for verb in REPORT_VERBS} == set(REPORTS)
+
+
+@pytest.mark.parametrize("verb", REPORT_VERBS, ids=lambda verb: verb[0])
 def test_cli_reports_on_graph_without_nodes(tmp_path, capsys, verb):
     (tmp_path / "nodes.txt").write_text("", encoding="utf-8")
     (tmp_path / "edges.csv").write_text("source,target,layer\n", encoding="utf-8")
@@ -349,16 +372,6 @@ def test_demo_report_bytes_unchanged(command, capsys):
     assert run_cli(*command.split(), "--manifest", str(DATA / "manifest.json")) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEMO_DIGESTS[command]
-
-
-REPORT_VERBS = (
-    ["summary"],
-    ["endogenous"],
-    ["cross"],
-    ["equiv", "--layer", "all"],
-    ["wedges", "--wedge-layer", "all"],
-    ["attrs", "--layer", "all"],
-)
 
 
 def report_outputs(manifest: Path) -> dict[str, str]:
