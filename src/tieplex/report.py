@@ -6,6 +6,7 @@ force, the parameters it was run with, a column list, and rows.  JSON
 keeps full precision (NaN becomes null); text and CSV render the same
 numbers, text rounded to a fixed precision.  All output is
 deterministic: identical input gives byte-identical bytes.
+``REPORTS`` is the table of report verbs the command line offers.
 """
 
 from __future__ import annotations

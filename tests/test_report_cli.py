@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tieplex.report
 from tieplex import load_dataset, write_demo_dataset
 from tieplex.cli import main
 from tieplex.report import (
@@ -293,6 +294,25 @@ def test_cli_equiv_negative_degree_exit_2(capsys, flag, name):
 def test_report_verbs_list_every_report():
     # a verb missing here would skip the exit-code fuzz and the empty-graph test
     assert {verb[0] for verb in REPORT_VERBS} == set(REPORTS)
+
+
+@pytest.mark.parametrize(
+    "verb, function",
+    zip(REPORT_VERBS, ("summary_report", "endogenous_report", "cross_report",
+                       "equivalence_report", "wedge_report", "attribute_report")),
+    ids=lambda arg: arg if isinstance(arg, str) else arg[0],
+)
+def test_report_verb_calls_the_module_report_function(monkeypatch, capsys, verb, function):
+    # a tracer rebinds these module globals, so the table must look them up per call
+    real, calls = getattr(tieplex.report, function), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tieplex.report, function, spy)
+    assert run_cli(*verb, "--manifest", str(DATA / "manifest.json")) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("verb", REPORT_VERBS, ids=lambda verb: verb[0])

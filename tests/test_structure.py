@@ -283,12 +283,6 @@ def test_structural_equivalence_rejects_bad_tolerance(mutual_dyad, tolerance):
         structural_equivalence(mutual_dyad, tolerance)
 
 
-@pytest.mark.parametrize("degrees", [{"out_degree": -1}, {"in_degree": -1}], ids=["out", "in"])
-def test_structural_equivalence_rejects_negative_degree(mutual_dyad, degrees):
-    with pytest.raises(InvalidParameter, match=f"{next(iter(degrees))} must be >= 0"):
-        structural_equivalence(mutual_dyad, **degrees)
-
-
 def test_structural_equivalence_tolerance_zero_distinct():
     # metric triples all differ: each node is its own class
     v = single([(0, 1), (1, 0), (1, 2), (2, 0)], 3)
