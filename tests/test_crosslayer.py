@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,14 +19,18 @@ from tieplex import (
     cross_triplet_closure,
     cycle_closure,
     generate_synthetic,
+    load_dataset,
     overlap_in,
     overlap_out,
     reciprocity,
     triplet_closure,
     unnetworked_similarity,
+    write_demo_dataset,
 )
 
 from conftest import two_layer
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
 
 
 def test_cross_reciprocity_and_asymmetry():
@@ -94,6 +99,65 @@ def test_attribute_metrics_uniform_and_empty_layer():
     records, baseline = attribute_metrics(empty, "L", table)
     assert all(r.out_similarity == 0.0 and r.in_similarity == 0.0 for r in records)
     assert baseline == 1.0  # baseline ignores the edges
+
+
+def check_attribute_metrics_match_set_reference(g, table):
+    """``attribute_metrics`` on every layer equals the per-actor set reference bit for bit.
+
+    The reference averages ``attribute_similarity`` over each node's
+    successors (out) and predecessors (in) with ``math.fsum``, and is 0
+    for a node without such neighbours.
+    """
+    labels = g.labels
+
+    def mean_similarity(i, neighbours):
+        if not neighbours:
+            return 0.0
+        return math.fsum(attribute_similarity(table, labels[i], labels[j]) for j in neighbours) / len(neighbours)
+
+    for layer in g.layer_names:
+        view = g.view(layer)
+        records, baseline = attribute_metrics(g, layer, table)
+        assert baseline == unnetworked_similarity(labels, table)
+        assert [(r.node, r.layer) for r in records] == [(i, layer) for i in range(g.n_nodes)]
+        for i, record in enumerate(records):
+            assert record.out_similarity == mean_similarity(i, view.out_set(i))
+            assert record.in_similarity == mean_similarity(i, view.in_set(i))
+
+
+def test_attribute_metrics_match_set_reference_bitwise_on_demo():
+    dataset = load_dataset(DATA / "manifest.json")
+    check_attribute_metrics_match_set_reference(dataset.graph, dataset.attributes)
+
+
+def test_attribute_metrics_match_set_reference_bitwise_on_generated_260(tmp_path):
+    write_demo_dataset(tmp_path, seed=1, n_nodes=260)
+    dataset = load_dataset(tmp_path / "manifest.json")
+    check_attribute_metrics_match_set_reference(dataset.graph, dataset.attributes)
+
+
+# per node: absent from the table, in the one shared class, or in a class of its own
+MISSING, SHARED, OWN = range(3)
+
+
+@given(
+    st.lists(st.sampled_from((MISSING, SHARED, OWN)), min_size=1, max_size=12),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_attribute_metrics_match_set_reference_bitwise_by_node_kind(kinds, pairs):
+    n = len(kinds)
+    labels = [str(k) for k in range(n)]
+    tokens = {}
+    for i, kind in enumerate(kinds):
+        if kind == SHARED:
+            tokens[labels[i]] = {"k:0", "k:1", "k:2"}
+        elif kind == OWN:
+            # own id plus up to four shared tokens, so the terms have many denominators
+            tokens[labels[i]] = {f"id:{i}", *(f"k:{k}" for k in range(i % 5))}
+    edges = [(labels[i], labels[j], "L") for i, j in pairs if i < n and j < n and i != j]
+    g = build_graph(labels, [LayerSpec.basic("L")], edges)
+    check_attribute_metrics_match_set_reference(g, AttributeTable(tokens))
 
 
 edge_lists = st.lists(
