@@ -16,12 +16,14 @@ two layers: the out variant reads as consistency of tie-making
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .graph import MultiplexGraph
+from .kernels import row_means
 from .metrics import _closure, _mean, _mean_jaccard, _node_terms, jaccard
 
 
@@ -185,6 +187,13 @@ def attribute_similarity(table: AttributeTable, a: str, b: str) -> float:
     return jaccard(table.tokens(a), table.tokens(b))
 
 
+def _token_classes(labels: Iterable[str], table: AttributeTable) -> tuple[np.ndarray, list[frozenset[str]]]:
+    """The class id of every label (equal token sets share one), and each class's token set, first seen first."""
+    ids: dict[frozenset[str], int] = {}
+    classes = [ids.setdefault(table.tokens(label), len(ids)) for label in labels]
+    return np.array(classes, dtype=np.intp), list(ids)
+
+
 def unnetworked_similarity(labels: Iterable[str], table: AttributeTable) -> float:
     """Average attribute similarity over all unordered node pairs.
 
@@ -198,15 +207,15 @@ def unnetworked_similarity(labels: Iterable[str], table: AttributeTable) -> floa
     result equals ``math.fsum`` over every node pair bit for bit, and
     is exactly invariant under relabeling.
     """
-    classes = list(Counter(table.tokens(label) for label in labels).items())
-    n = sum(count for _, count in classes)
-    pairs = n * (n - 1) // 2
+    classes, token_sets = _token_classes(labels, table)
+    counts = np.bincount(classes).tolist()
+    pairs = len(classes) * (len(classes) - 1) // 2
     if pairs == 0:
         return 0.0
     weights: Counter[float] = Counter()  # term -> node pairs with that term
-    for x, (tokens_x, count_x) in enumerate(classes):
+    for x, (tokens_x, count_x) in enumerate(zip(token_sets, counts)):
         weights[jaccard(tokens_x, tokens_x)] += count_x * (count_x - 1) // 2
-        for tokens_y, count_y in classes[x + 1:]:
+        for tokens_y, count_y in zip(token_sets[x + 1:], counts[x + 1:]):
             weights[jaccard(tokens_x, tokens_y)] += count_x * count_y
     ratios = [term.as_integer_ratio() for term in weights]
     scale = max(den for _, den in ratios)  # every denominator is a power of two
@@ -221,15 +230,18 @@ def attribute_metrics(
 
     ``out_similarity`` averages similarity with the nodes i names as
     ties, ``in_similarity`` with the nodes naming i; degenerate degrees
-    give 0.  The baseline ignores the layer entirely.
+    give 0.  The baseline ignores the layer entirely.  ``jaccard`` runs
+    once per distinct pair of token classes among the ties, and
+    ``row_means`` averages each node's terms.
     """
     view = g.view(layer)
-    tokens = [table.tokens(label) for label in g.labels]
-    records = []
-    # fsum is exactly rounded, so the order within a row does not matter
-    for i, (mine, succ, pred) in enumerate(zip(tokens, view.out.rows(), view.inn.rows())):
-        out_sim = math.fsum(jaccard(mine, tokens[j]) for j in succ) / len(succ) if succ else 0.0
-        in_sim = math.fsum(jaccard(mine, tokens[j]) for j in pred) / len(pred) if pred else 0.0
-        records.append(AttributeMetrics(node=i, layer=layer, out_similarity=out_sim, in_similarity=in_sim))
-    baseline = unnetworked_similarity(g.labels, table)
-    return tuple(records), baseline
+    classes, token_sets = _token_classes(g.labels, table)
+    k = len(token_sets)
+    similarity = []
+    for csr in (view.out, view.inn):
+        pair_keys, inverse = np.unique(classes[csr.row_ids()] * k + classes[csr.indices], return_inverse=True)
+        mine, theirs = np.divmod(pair_keys, k)
+        terms = [jaccard(token_sets[x], token_sets[y]) for x, y in zip(mine.tolist(), theirs.tolist())]
+        similarity.append(row_means(np.array(terms, dtype=np.float64)[inverse], csr.indptr).tolist())
+    records = tuple(AttributeMetrics(i, layer, *row) for i, row in enumerate(zip(*similarity)))
+    return records, unnetworked_similarity(g.labels, table)

@@ -130,7 +130,7 @@ class LayerView:
         self.n_nodes = n_nodes
         self.n_edges = len(keys)
         rows, cols = np.divmod(keys, n_nodes)
-        self.out = CSR.from_pairs(rows, cols, n_nodes)
+        self.out = CSR.from_keys(keys, n_nodes)
         transposed = cols * n_nodes
         transposed += rows
         del rows, cols  # each temporary goes as soon as its CSR is built

@@ -185,7 +185,8 @@ def parse_nodes(stream: IO[str]) -> list[str]:
     """Parse a node file: one label per line."""
     labels = []
     for line_no, raw in _lines(stream):
-        label = raw.lstrip("﻿").strip()
+        # a byte order mark can only open the file
+        label = (raw.lstrip("\ufeff") if line_no == 1 else raw).strip()
         if label == "":
             raise MalformedLine("blank line in node file", line_no)
         labels.append(label)

@@ -48,17 +48,8 @@ class CSR(NamedTuple):
         ``keys`` must be sorted and unique, so every row comes out sorted.
         Row ``i`` starts at the first key of at least ``i * n``.
         """
-        return cls._frozen(np.searchsorted(keys, np.arange(n + 1) * n), keys % n)
-
-    @classmethod
-    def from_pairs(cls, rows: np.ndarray, cols: np.ndarray, n: int) -> "CSR":
-        """The matrix of :meth:`from_keys` for keys whose rows and columns are already split."""
-        return cls._frozen(np.searchsorted(rows, np.arange(n + 1)), cols)
-
-    @classmethod
-    def _frozen(cls, indptr: np.ndarray, cols: np.ndarray) -> "CSR":
-        indptr = indptr.astype(np.int64, copy=False)
-        indices = cols.astype(np.int32)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int64, copy=False)
+        indices = (keys % n).astype(np.int32)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         return cls(indptr, indices)

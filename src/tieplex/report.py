@@ -261,14 +261,10 @@ def render_json(report: dict) -> str:
     return json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _format_cell(value, precision: int | None) -> str:
-    if value is None:
+def _format_cell(value) -> str:
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return "n/a"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "n/a"
-        return f"{value:.{precision}f}" if precision is not None else repr(value)
-    return str(value)
+    return f"{value:.{TEXT_PRECISION}f}" if isinstance(value, float) else str(value)
 
 
 def _header_lines(report: dict) -> list[str]:
@@ -288,13 +284,13 @@ def render_text(report: dict) -> str:
     columns = report["columns"]
     grid = [list(columns)]
     for row in report["rows"]:
-        grid.append([_format_cell(row[c], TEXT_PRECISION) for c in columns])
+        grid.append([_format_cell(row[c]) for c in columns])
     widths = [max(len(line[k]) for line in grid) for k in range(len(columns))]
     lines = _header_lines(report)
     for line in grid:
         lines.append("  ".join(cell.ljust(widths[k]) for k, cell in enumerate(line)).rstrip())
     if "baseline" in report:
-        lines.append(f"baseline {_format_cell(report['baseline'], TEXT_PRECISION)}")
+        lines.append(f"baseline {_format_cell(report['baseline'])}")
     return "\n".join(lines) + "\n"
 
 
@@ -311,9 +307,7 @@ def render_csv(report: dict) -> str:
 
 
 def _format_cell_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return str(value)
 

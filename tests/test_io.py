@@ -229,6 +229,18 @@ def test_load_dataset_unknown_node_has_line(tmp_path):
         load_dataset(path)
 
 
+def test_parse_nodes_drops_a_byte_order_mark_on_line_1_only():
+    assert parse_nodes(stdio.StringIO("\ufeffa\nb\n")) == ["a", "b"]
+    assert parse_nodes(stdio.StringIO("a\n\ufeffb\n")) == ["a", "\ufeffb"]
+
+
+def test_load_dataset_later_label_starting_with_bom_matches_its_edges(tmp_path):
+    path = write_dataset(tmp_path, "\ufeffa\n\ufeffb\n", "source,target,layer\na,\ufeffb,x\n", manifest_doc())
+    loaded = load_dataset(path)
+    assert loaded.graph.labels == ("a", "\ufeffb")
+    assert loaded.graph.view("x").edge_set() == {(0, 1)}
+
+
 def test_load_dataset_duplicate_reporting(tmp_path):
     path = write_dataset(
         tmp_path, "a\nb\n", "source,target,layer\na,b,x\na,b,x\n", manifest_doc()
