@@ -307,7 +307,9 @@ def render_csv(report: dict) -> str:
 
 
 def _format_cell_csv(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    if value is None:
+        return ""
+    if isinstance(value, float) and math.isnan(value):
         return ""
     return str(value)
 
