@@ -423,7 +423,7 @@ def _split_header(stream_lines, expected: tuple[str, ...], delimiter: str | None
         line_no, raw = next(stream_lines)
     except StopIteration:
         raise MissingHeader(f"{what} file is empty") from None
-    raw = raw.lstrip("﻿")
+    raw = raw.lstrip("\ufeff")
     delim = delimiter or ("\t" if "\t" in raw else ",")
     fields = tuple(f.strip() for f in raw.split(delim))
     if fields != expected:
