@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -129,25 +130,41 @@ class AttributeTable:
 
     Tokens are ``category:value`` strings; a node absent from the table
     has the empty set.  Keyed by node label so a table can be built and
-    reused independently of any particular graph.
+    reused independently of any particular graph.  Equal tokens are one
+    object, and so are equal token sets: a table holds one string per
+    distinct token and one frozenset per distinct token set.
     """
 
     def __init__(self, tokens: Mapping[str, Iterable[str]] | None = None):
         self._tokens: dict[str, frozenset[str]] = {}
         self._first_lines: dict[str, int] = {}
-        if tokens:
-            for label, toks in tokens.items():
-                self._tokens[label] = frozenset(toks)
+        strings: dict[str, str] = {}
+        sets: dict[frozenset[str], frozenset[str]] = {}
+        for label, toks in (tokens or {}).items():
+            token_set = frozenset(toks)
+            if token_set not in sets:
+                sets[token_set] = frozenset(strings.setdefault(t, t) for t in token_set)
+            self._tokens[label] = sets[token_set]
 
     @classmethod
-    def from_rows(cls, nodes: Sequence[str], tokens: Sequence[str], first_line: int) -> "AttributeTable":
-        """Table of the rows ``(nodes[k], tokens[k])``, row ``k`` read from line ``first_line + k``."""
-        grouped: dict[str, set[str]] = {}
-        for node, token in zip(nodes, tokens):
-            grouped.setdefault(node, set()).add(token)
+    def from_rows(cls, chunks: Iterable[tuple[Sequence[str], Sequence[str], int]]) -> "AttributeTable":
+        """Table of rows read in chunks ``(nodes, tokens, first_line)``.
+
+        A chunk holds the rows ``(nodes[k], tokens[k])``, row ``k`` read
+        from line ``first_line + k``.  Only one chunk's strings are held
+        at a time.
+        """
+        grouped: dict[str, list[str]] = {}
+        first_lines: dict[str, int] = {}
+        strings: dict[str, str] = {}
+        for nodes, tokens, first_line in chunks:
+            for line_no, node, token in zip(count(first_line), nodes, tokens):
+                if node not in grouped:
+                    grouped[node] = []
+                    first_lines[node] = line_no
+                grouped[node].append(strings.setdefault(token, token))
         table = cls(grouped)
-        # the last pair written for a label wins, so walk the rows backwards
-        table._first_lines = dict(zip(reversed(nodes), range(first_line + len(nodes) - 1, first_line - 1, -1)))
+        table._first_lines = first_lines
         return table
 
     def first_line(self, label: str) -> int | None:

@@ -16,7 +16,7 @@ manifests too).  Each layer is stored once, as its :class:`LayerView`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -287,7 +287,7 @@ def _where(edge) -> str:
 def build_graph(
     nodes: Iterable[str],
     layer_specs: Iterable[LayerSpec],
-    edges: Iterable[EdgeRecord | tuple[str, str, str]],
+    edges: EdgeColumns | Iterable[EdgeColumns] | Iterable[EdgeRecord | tuple[str, str, str]],
 ) -> MultiplexGraph:
     """Build a multiplex graph from labels, layer declarations and edges.
 
@@ -302,59 +302,82 @@ def build_graph(
         :func:`check_layers`.
     edges:
         :class:`EdgeColumns` (as :func:`tieplex.io.parse_edges` returns
-        them), :class:`EdgeRecord` rows or plain ``(source_label,
-        target_label, basic_layer_name)`` triples; records and triples
-        are transposed into the same label columns.  Duplicates
-        collapse to a single tie; the collapse count per layer is
-        surfaced on ``duplicates_collapsed``, not raised.
+        them), an iterable of :class:`EdgeColumns` chunks, which is
+        walked once and each chunk mapped to ids before the next is
+        drawn, or :class:`EdgeRecord` rows or plain ``(source_label,
+        target_label, basic_layer_name)`` triples, which are transposed
+        into one chunk.  Duplicates collapse to a single tie; the
+        collapse count per layer is surfaced on
+        ``duplicates_collapsed``, not raised.
 
     Raises
     ------
     DuplicateNodeLabel, DuplicateLayerName, UnknownLayer, UnknownNode, SelfTie
         Each names the offending record: an edge by its ``line_no`` if it
         has one, else its triple; a label by its 1-based position in
-        ``nodes``, which is its line in a node file.
+        ``nodes``, which is its line in a node file.  All edges are drawn
+        before any of these is raised, so an error the chunks raise
+        themselves (a file-format error) comes first.
     """
     labels = list(nodes)
     index: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        if index.setdefault(label, i) != i:
-            raise DuplicateNodeLabel(f"line {i + 1}: duplicate node label '{label}'")
-
+    duplicate = next((i for i, label in enumerate(labels) if index.setdefault(label, i) != i), None)
     specs = list(layer_specs)
-    check_layers(specs)
     n = len(labels)
     basics = [s.name for s in specs if s.kind == "basic"]
     codes = {s.name: -2 for s in specs}  # an aggregate's code; unknown layers get -1
     codes.update((name, k) for k, name in enumerate(basics))
-    if isinstance(edges, EdgeColumns):
-        records, columns = edges, (edges.sources, edges.targets, edges.layers)
-    else:
-        records = edges if isinstance(edges, list) else list(edges)
-        columns = tuple(zip(*records))[:3] or ((), (), ())
-    src, dst, layer = (
-        np.fromiter(map(lookup.get, column, repeat(-1)), dtype=np.int64, count=len(records))
-        for lookup, column in zip((index, index, codes), columns)
-    )
-    del columns  # transposed triples are not needed past the lookups
-    bad = (src < 0) | (dst < 0) | (layer < 0) | (src == dst)
-    if bad.any():
-        _reject(records[int(np.argmax(bad))], index, codes)
+    parts: list[list[np.ndarray]] = [[] for _ in basics]  # each basic layer's keys, chunk by chunk
+    rejected = None  # the first bad record
+    for records, columns in _record_chunks(edges):
+        if rejected is not None:
+            continue  # the rest is drawn only for the errors it raises itself
+        src, dst, layer = (
+            np.fromiter(map(lookup.get, column, repeat(-1)), dtype=np.int64, count=len(records))
+            for lookup, column in zip((index, index, codes), columns)
+        )
+        bad = (src < 0) | (dst < 0) | (layer < 0) | (src == dst)
+        if bad.any():
+            rejected = records[int(np.argmax(bad))]
+            continue
+        keys = src * n + dst
+        for k, part in enumerate(parts):
+            part.append(keys[layer == k])
+    if duplicate is not None:
+        raise DuplicateNodeLabel(f"line {duplicate + 1}: duplicate node label '{labels[duplicate]}'")
+    check_layers(specs)
+    if rejected is not None:
+        _reject(rejected, index, codes)
 
-    keys = src * n + dst
-    del src, dst
     ranked: dict[str, np.ndarray] = {}
     duplicates = dict.fromkeys((s.name for s in specs), 0)
-    for k, name in enumerate(basics):
-        layer_keys = np.sort(keys[layer == k])
+    for name, part in zip(basics, parts):
+        layer_keys = np.concatenate([np.zeros(0, dtype=np.int64), *part])
+        part.clear()  # each layer's chunks go as soon as they are joined
+        layer_keys.sort()
         ranked[name] = layer_keys[_firsts(layer_keys)]
         duplicates[name] = len(layer_keys) - len(ranked[name])
+        del layer_keys
 
     views = {}
     for spec in specs:
         union = _merge(*(ranked[c] for c in spec.constituents or (spec.name,)))
         views[spec.name] = LayerView(spec.name, n, union)
     return MultiplexGraph(labels, specs, views, duplicates)
+
+
+def _record_chunks(edges) -> Iterator[tuple[Sequence, tuple[Sequence[str], ...]]]:
+    """``(records, label columns)`` of each chunk of ``edges``, in order (see :func:`build_graph`)."""
+    if isinstance(edges, EdgeColumns):
+        edges = (edges,)
+    rows = iter(edges)
+    first = next(rows, None)
+    if isinstance(first, EdgeColumns):
+        for chunk in chain((first,), rows):
+            yield chunk, (chunk.sources, chunk.targets, chunk.layers)
+        return
+    records = [] if first is None else [first, *rows]
+    yield records, tuple(zip(*records))[:3] or ((), (), ())
 
 
 def _reject(edge, index: Mapping[str, int], codes: Mapping[str, int]) -> None:

@@ -12,9 +12,13 @@ File formats (all UTF-8, LF or CRLF):
 Parsers reject rather than repair: a bad line raises with its line
 number instead of being dropped.  Comma is the default delimiter; a tab
 in the header line switches to tab unless the manifest pins one.  The
-edge and attribute files are read whole and split into columns in
-bulk; the first row that fails a check is handed to the one row
-checker, which words every row error.
+edge and attribute files are read in chunks of ``_ROWS`` rows, each
+split into columns in bulk; the first row that fails a check is handed
+to the one row checker, which words every row error, and the rest of
+the file is read first, so a decoding error anywhere in it still wins.
+:func:`load_dataset` hands the edge chunks to :func:`build_graph`,
+which maps each to ids before the next is read, so no more than one
+chunk's label strings are held at a time.
 
 Each check runs once: the parsers here check file format, and
 :func:`manifest_from_dict` the manifest fields; layer declarations, node
@@ -54,6 +58,7 @@ MANIFEST_FIELDS = {
     "layers": list, "pairs": list, "buckets": dict,
 }
 JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+_ROWS = 1 << 10  # rows of an edge or attribute file read, checked and mapped per chunk
 
 
 @dataclass(frozen=True)
@@ -127,45 +132,49 @@ def _split_row(raw: str, delim: str, line_no: int, width: int) -> tuple[str, ...
 
 
 def _read_columns(
-    stream: IO[str], expected: tuple[str, ...], delimiter: str | None, what: str
-) -> tuple[list[list[str]], ParseError | None]:
-    """The stripped fields of a headed file, one list per column, read in bulk.
+    stream: Iterable[str], expected: tuple[str, ...], delimiter: str | None, what: str
+) -> Iterator[tuple[list[list[str]], int]]:
+    """The stripped fields of a headed file, one list per column, ``_ROWS`` rows at a time.
 
-    Row ``k`` is line ``k + 2``.  The columns stop before the first row
-    :func:`_split_row` rejects, and that row's error is returned with
-    them (``None`` when every row is good), so a caller can raise an
-    error of its own from an earlier row first.
+    Yields each chunk's columns with the line of its first row.  The
+    chunks stop before the first row :func:`_split_row` rejects, and that
+    row's error is raised once the rest of the file has been read, so
+    that a decoding error anywhere in the file is reported first.
     """
     # file iteration splits on "\n" alone; str.splitlines would also split on "\x0b", "\u2028", ...
-    lines = stream.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
+    lines = iter(stream)
+    header = next(lines, None)
+    if header is None:
         raise MissingHeader(f"{what} file is empty")
-    delim = _split_header(lines[0], expected, delimiter, what)
+    delim = _split_header(header.rstrip("\n"), expected, delimiter, what)
     width = len(expected)
-    good = len(lines) - 1
-    if not set(map(str.count, islice(lines, 1, None), repeat(delim))) <= {width - 1}:
-        good = next(k for k, raw in enumerate(islice(lines, 1, None)) if raw.count(delim) != width - 1)
-    bad = lines[good + 1] if good + 1 < len(lines) else None
-    body = delim.join(islice(lines, 1, good + 1))
-    del lines
-    parts = body.split(delim) if good else []
-    del body
-    # "\r" is whitespace, so stripping each field also drops a CRLF ending
-    cells = list(map(str.strip, parts))
-    if "" in cells:  # an empty field, or a blank line of tab delimiters
-        good = cells.index("") // width
-        bad = delim.join(parts[good * width:(good + 1) * width])
-        del cells[good * width:]
-    del parts
-    error = None
-    if bad is not None:
-        try:
-            _split_row(bad, delim, good + 2, width)
-        except ParseError as exc:
-            error = exc
-    return [cells[j::width] for j in range(width)], error
+    first = 2
+    for chunk in iter(lambda: list(islice(lines, _ROWS)), []):
+        good = len(chunk)
+        if not set(map(str.count, chunk, repeat(delim))) <= {width - 1}:
+            good = next(k for k, raw in enumerate(chunk) if raw.count(delim) != width - 1)
+        bad = chunk[good] if good < len(chunk) else None
+        parts = delim.join(islice(chunk, good)).split(delim) if good else []
+        del chunk
+        # "\n" and "\r" are whitespace, so stripping each field also drops the line ends
+        cells = list(map(str.strip, parts))
+        if "" in cells:  # an empty field, or a blank line of tab delimiters
+            good = cells.index("") // width
+            bad = delim.join(parts[good * width:(good + 1) * width])
+            del cells[good * width:]
+        del parts
+        if good:
+            yield [cells[j::width] for j in range(width)], first
+        if bad is not None:
+            _drain(lines)
+            _split_row(bad.rstrip("\n"), delim, first + good, width)  # raises
+        first += good
+
+
+def _drain(lines: Iterator[str]) -> None:
+    """Read the rest of a file, so that a decoding error in it is raised before a row error."""
+    for _ in lines:
+        pass
 
 
 def parse_edges(stream: IO[str], delimiter: str | None = None) -> EdgeColumns:
@@ -175,9 +184,10 @@ def parse_edges(stream: IO[str], delimiter: str | None = None) -> EdgeColumns:
     row passes the same checks, with the same messages, as
     :func:`_split_row` gives it.
     """
-    columns, error = _read_columns(stream, EDGE_HEADER, delimiter, "edge")
-    if error is not None:
-        raise error
+    columns: tuple[list[str], ...] = ([], [], [])
+    for chunk, _ in _read_columns(stream, EDGE_HEADER, delimiter, "edge"):
+        for column, part in zip(columns, chunk):
+            column += part
     return EdgeColumns(*columns, first_line=2)
 
 
@@ -193,37 +203,40 @@ def parse_nodes(stream: IO[str]) -> list[str]:
     return labels
 
 
-def _bucket_label(rules: tuple[BucketRule, ...], key: str, value: float, line_no: int) -> str:
+def _bucket_label(rules: tuple[BucketRule, ...], key: str, value: str, line_no: int) -> str:
+    try:
+        numeric = float(value)
+    except ValueError:
+        raise MalformedLine(
+            f"key '{key}' is bucketed and needs a numeric value, got '{value}'", line_no
+        ) from None
     last = len(rules) - 1
     for pos, rule in enumerate(rules):
-        if rule.lo <= value < rule.hi or (pos == last and value == rule.hi):
+        if rule.lo <= numeric < rule.hi or (pos == last and numeric == rule.hi):
             return rule.label
     raise UnknownBucketKey(
-        f"no bucket for key '{key}' covers value {value!r}", line_no
+        f"no bucket for key '{key}' covers value {numeric!r}", line_no
     )
 
 
-def _attribute_columns(
+def _attribute_chunks(
     stream: IO[str], buckets: Mapping[str, tuple[BucketRule, ...]], delimiter: str | None
-) -> tuple[list[str], list[str]]:
-    """The node and token columns of an attribute file, bucketed values replaced by their label.
+) -> Iterator[tuple[list[str], list[str], int]]:
+    """The node and token columns of an attribute file, ``_ROWS`` rows at a time.
 
-    The first bad row raises, whether its format or its bucketed value
-    is at fault.
+    Yields each chunk's columns with the line of its first row.
+    Bucketed values are replaced by their label.  The first bad row
+    raises, whether its format or its bucketed value is at fault.
     """
-    (nodes, keys, values), error = _read_columns(stream, ATTRIBUTE_HEADER, delimiter, "attribute")
-    for k in [k for k, key in enumerate(keys) if key in buckets]:
-        key, value = keys[k], values[k]
-        try:
-            numeric = float(value)
-        except ValueError:
-            raise MalformedLine(
-                f"key '{key}' is bucketed and needs a numeric value, got '{value}'", k + 2
-            ) from None
-        values[k] = _bucket_label(buckets[key], key, numeric, k + 2)
-    if error is not None:
-        raise error
-    return nodes, list(map("{}:{}".format, keys, values))
+    lines = iter(stream)
+    for (nodes, keys, values), first in _read_columns(lines, ATTRIBUTE_HEADER, delimiter, "attribute"):
+        for k in [k for k, key in enumerate(keys) if key in buckets]:
+            try:
+                values[k] = _bucket_label(buckets[keys[k]], keys[k], values[k], first + k)
+            except ParseError:
+                _drain(lines)
+                raise
+        yield nodes, list(map("{}:{}".format, keys, values)), first
 
 
 def parse_attributes(
@@ -238,8 +251,7 @@ def parse_attributes(
     Duplicate rows collapse via set semantics.  The table keeps the
     line of each node's first row (:meth:`AttributeTable.first_line`).
     """
-    nodes, tokens = _attribute_columns(stream, buckets or {}, delimiter)
-    return AttributeTable.from_rows(nodes, tokens, first_line=2)
+    return AttributeTable.from_rows(_attribute_chunks(stream, buckets or {}, delimiter))
 
 
 def _layer_spec_from_dict(doc: dict) -> LayerSpec:
@@ -351,7 +363,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
     """Read all files of a manifest and build the graph and attribute table.
 
-    Edge records carry their lines into :func:`build_graph`, which checks them.
+    The edge file goes to :func:`build_graph` as a generator of
+    :class:`EdgeColumns` chunks of at most ``_ROWS`` rows, each mapped
+    to ids before the next is read, so no more than one chunk's label
+    strings are held at a time.  Edge records carry their lines into
+    :func:`build_graph`, which checks them.
     Given a manifest path, a data file it names that cannot be opened is
     an input error of the manifest, and the message names both files.
     """
@@ -365,15 +381,16 @@ def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
 
     with _open_input(manifest.nodes_path) as fh:
         labels = parse_nodes(fh)
+    duplicate = None
     with _open_input(manifest.edges_path) as fh:
-        records = parse_edges(fh, delimiter=manifest.delimiter)
-    try:
-        graph = build_graph(labels, manifest.layers, records)
-    except TieplexError as exc:
-        path = manifest.nodes_path if isinstance(exc, DuplicateNodeLabel) else manifest.edges_path
-        exc.args = (f"{path}: {exc}",)
-        raise
-    del records  # the graph holds the ties now
+        chunks = _read_columns(fh, EDGE_HEADER, manifest.delimiter, "edge")
+        try:
+            graph = build_graph(labels, manifest.layers, (EdgeColumns(*c, first_line=k) for c, k in chunks))
+        except DuplicateNodeLabel as exc:
+            duplicate = exc  # an error of the node file, named outside this block
+    if duplicate is not None:
+        duplicate.args = (f"{manifest.nodes_path}: {duplicate}",)
+        raise duplicate
 
     attributes = None
     if manifest.attributes_path is not None:

@@ -132,7 +132,7 @@ def _probe_counts(P: CSR, Q: CSR, rows: np.ndarray, cols: np.ndarray, n: int) ->
     keeps ``searchsorted`` fast.  Temporaries are Q's keys plus one
     ``_STEP`` chunk of probes.
     """
-    held = np.append(Q.row_ids() * n + Q.indices, n * n)  # n * n exceeds every key
+    held = _keys(Q, n)
     order = np.argsort(cols)
     rows, cols = rows[order], cols[order]
     found = np.zeros(len(rows), dtype=np.int64)
@@ -159,10 +159,21 @@ def row_intersections(P: CSR, Q: CSR) -> np.ndarray:
     """
     n = len(P.indptr) - 1
     rows = P.row_ids()
-    keys = rows * n + P.indices
-    held = np.append(Q.row_ids() * n + Q.indices, n * n)  # n * n exceeds every key
+    keys = _keys(P, n)[:-1]
+    held = _keys(Q, n)
     found = held[np.searchsorted(held, keys)] == keys
     return np.bincount(rows[found], minlength=n)
+
+
+def _keys(csr: CSR, n: int) -> np.ndarray:
+    """The sorted keys ``i * n + j`` of the stored entries, then ``n * n``, which exceeds every key.
+
+    Built in one array: each row's ``i * n`` repeated over its entries,
+    then the column ids added in place.
+    """
+    keys = np.repeat(np.arange(n + 1, dtype=np.int64) * n, np.append(csr.degrees(), 1))
+    keys[:-1] += csr.indices
+    return keys
 
 
 def jaccard_terms(inter: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:

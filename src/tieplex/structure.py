@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParameter, NotStronglyConnected
-from .graph import LayerView, MultiplexGraph
+from .graph import LayerView, MultiplexGraph, _merge
 from .kernels import CSR, _entries, intersection_counts
 from .metrics import layer_metrics
 
@@ -284,11 +284,13 @@ def structural_equivalence(
 
     Classes satisfy the pairwise condition |delta| <= tolerance on all
     three metrics.  Grouping is a deterministic greedy partition seeded
-    by ascending node id (for tolerance 0 this is exactly the partition
-    by equal triples).  One vectorised comparison with each seed picks
-    the only nodes that can join its class, so the Python work grows
-    with those candidates, not with every remaining node.  The optional
-    degree filter restricts grouping to nodes with the given out- and/or
+    by ascending node id.  At tolerance 0 that is exactly the partition
+    by equal triples, so it is taken as one group-by (``np.unique`` of
+    the triples), the classes ordered by their smallest member.  Above
+    0, one vectorised comparison with each seed picks the only nodes
+    that can join its class, so the Python work grows with those
+    candidates, not with every remaining node.  The optional degree
+    filter restricts grouping to nodes with the given out- and/or
     in-degree; a negative degree raises :class:`InvalidParameter`.
     """
     if not tolerance >= 0:  # also rejects NaN
@@ -305,9 +307,37 @@ def structural_equivalence(
     nodes = np.flatnonzero(keep).tolist()
     packed = np.column_stack((metrics.reciprocity, metrics.cycle_closure, metrics.triplet_closure))[keep]
     triples = packed.tolist()
-    alive = np.ones(len(nodes), dtype=bool)
-    classes: list[EquivalenceClass] = []
-    for seed in range(len(nodes)):
+    groups = _equal_groups(packed) if tolerance == 0 else _greedy_groups(packed, triples, tolerance)
+    return [
+        EquivalenceClass(
+            members=tuple(nodes[m] for m in members),
+            reciprocity=triples[members[0]][0],
+            cycle_closure=triples[members[0]][1],
+            triplet_closure=triples[members[0]][2],
+            tolerance=tolerance,
+        )
+        for members in groups
+    ]
+
+
+def _equal_groups(packed: np.ndarray) -> list[list[int]]:
+    """The rows of ``packed`` grouped by equal value, each group ascending, groups by their first row."""
+    if not len(packed):
+        return []
+    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    label = rank[inverse.reshape(-1)]
+    order = np.argsort(label, kind="stable").tolist()  # stable: each group stays ascending
+    bounds = np.cumsum(np.bincount(label)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+
+
+def _greedy_groups(packed: np.ndarray, triples: list[list[float]], tolerance: float) -> list[list[int]]:
+    """Greedy classes of the rows of ``packed``, seeded in ascending order (see :func:`structural_equivalence`)."""
+    alive = np.ones(len(packed), dtype=bool)
+    groups = []
+    for seed in range(len(packed)):
         if not alive[seed]:
             continue
         # Only nodes within the tolerance of the seed can join its class;
@@ -326,17 +356,8 @@ def structural_equivalence(
                 members.append(cand)
                 lo, hi = tuple(map(min, lo, t)), tuple(map(max, hi, t))
         alive[members] = False
-        recip, cycle, triplet = triples[seed]
-        classes.append(
-            EquivalenceClass(
-                members=tuple(nodes[m] for m in members),
-                reciprocity=recip,
-                cycle_closure=cycle,
-                triplet_closure=triplet,
-                tolerance=tolerance,
-            )
-        )
-    return classes
+        groups.append(members)
+    return groups
 
 
 def wedge_closure(
@@ -362,13 +383,22 @@ def wedge_closure(
     total = int((degree * (degree - 1) // 2).sum())
 
     # A linked pair {a, b} closes one wedge per common neighbour of a and
-    # b in the wedge layer, so count each pair of the union once.
-    pairs = {name: _linked_pairs(view.und, n) for name, view in zip(names, views)}
-    union = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *pairs.values()]))
+    # b in the wedge layer, so count each pair of the union once.  Each
+    # layer's pairs are merged in and dropped, and found again after the
+    # count: the union and one layer's pairs are held, not every layer's.
+    union = np.zeros(0, dtype=np.int64)
+    for view in views:
+        union = _merge(union, _linked_pairs(view.und, n))
     a, b = np.divmod(union, n)
-    fewer = degree[a] <= degree[b]  # walk the shorter row; the count is symmetric
-    common = intersection_counts(wedge, wedge, np.where(fewer, a, b), np.where(fewer, b, a))
-    closed = {name: int(common[np.searchsorted(union, keys)].sum()) for name, keys in pairs.items()}
+    swap = degree[a] > degree[b]  # walk the shorter row; the count is symmetric
+    a[swap], b[swap] = b[swap], a[swap]
+    del swap
+    common = intersection_counts(wedge, wedge, a, b)
+    del a, b
+    closed = {
+        name: int(common[np.searchsorted(union, _linked_pairs(view.und, n))].sum())
+        for name, view in zip(names, views)
+    }
     closed["any"] = int(common.sum())
     pct = {
         name: (100.0 * c / total) if total else 0.0 for name, c in closed.items()

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from pathlib import Path
@@ -22,6 +23,7 @@ from tieplex import (
     load_dataset,
     overlap_in,
     overlap_out,
+    parse_attributes,
     reciprocity,
     triplet_closure,
     unnetworked_similarity,
@@ -276,3 +278,27 @@ def test_baseline_memory_grows_with_classes_not_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_attribute_table_shares_equal_tokens_and_token_sets():
+    def fresh(text):  # an equal string that is a new object
+        return "".join(list(text))
+
+    table = AttributeTable({
+        "1": {fresh("gender:F"), fresh("dept:CS")},
+        "2": [fresh("dept:CS"), fresh("gender:F"), fresh("gender:F")],
+        "3": {fresh("gender:F"), fresh("dept:EE")},
+    })
+    assert table.tokens("1") is table.tokens("2")
+    first, third = ({t: t for t in table.tokens(label)} for label in ("1", "3"))
+    assert first["gender:F"] is third["gender:F"]
+
+    rows = "node,key,value\n" + "".join(f"n{k},gender,{'FM'[k % 2]}\nn{k},dept,CS\n" for k in range(6))
+    read = parse_attributes(io.StringIO(rows))
+    sets = [read.tokens(f"n{k}") for k in range(6)]
+    assert len({id(s) for s in sets}) == 2 and sets[0] is sets[2] is sets[4]
+    tokens = {}
+    for token_set in sets:
+        for token in token_set:
+            assert tokens.setdefault(token, token) is token
+    assert sorted(tokens) == ["dept:CS", "gender:F", "gender:M"]

@@ -2,6 +2,7 @@ import io as stdio
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import oracles
 import pytest
@@ -18,6 +19,7 @@ from tieplex import (
     MalformedLine,
     MissingHeader,
     ParseError,
+    SelfTie,
     UnknownBucketKey,
     UnknownLayer,
     UnknownNode,
@@ -32,6 +34,7 @@ from tieplex import (
     reciprocity,
     write_demo_dataset,
 )
+import tieplex.io
 from tieplex.io import BucketRule
 
 GPA_BUCKETS = {
@@ -368,11 +371,16 @@ def outcome(parse):
         return type(exc), str(exc), exc.line_no
 
 
-@given(headed_texts(("source", "target", "layer")))
+# The reader's chunk size, as loaded and as small as one, two or three rows.
+CHUNK_ROWS = st.sampled_from([tieplex.io._ROWS, 1, 2, 3])
+
+
+@given(headed_texts(("source", "target", "layer")), CHUNK_ROWS)
 @settings(derandomize=True, max_examples=400, deadline=None)
-def test_parse_edges_equals_line_parser(case):
+def test_parse_edges_equals_line_parser(case, rows):
     text, pinned, newline = case
-    got = outcome(lambda: parse_edges(stdio.StringIO(text, newline=newline), delimiter=pinned))
+    with mock.patch.object(tieplex.io, "_ROWS", rows):
+        got = outcome(lambda: parse_edges(stdio.StringIO(text, newline=newline), delimiter=pinned))
     want = outcome(lambda: oracles.parse_edges(stdio.StringIO(text, newline=newline), delimiter=pinned))
     if isinstance(want, list):
         assert [tuple(r) for r in got] == [tuple(r) for r in want]
@@ -382,11 +390,12 @@ def test_parse_edges_equals_line_parser(case):
         assert got == want
 
 
-@given(headed_texts(("node", "key", "value"), (LABELS, KEYS, VALUES)))
+@given(headed_texts(("node", "key", "value"), (LABELS, KEYS, VALUES)), CHUNK_ROWS)
 @settings(derandomize=True, max_examples=400, deadline=None)
-def test_parse_attributes_equals_line_parser(case):
+def test_parse_attributes_equals_line_parser(case, rows):
     text, pinned, newline = case
-    got = outcome(lambda: parse_attributes(stdio.StringIO(text, newline=newline), BUCKETS, pinned))
+    with mock.patch.object(tieplex.io, "_ROWS", rows):
+        got = outcome(lambda: parse_attributes(stdio.StringIO(text, newline=newline), BUCKETS, pinned))
     want = outcome(lambda: oracles.attribute_table(stdio.StringIO(text, newline=newline), BUCKETS, pinned))
     if isinstance(want, dict):
         assert got == AttributeTable(want)
@@ -411,9 +420,10 @@ def test_edge_columns_behave_as_records():
 
 
 def test_load_dataset_memory_per_edge_row(tmp_path):
-    # 80k edge rows: the label columns, the checks and the layer build
-    # stay below 340 B per row (the line-by-line parser with one record
-    # per row peaked at 389 B here, the column reader at 295 B)
+    # 80k edge rows: the chunks of label columns, the checks and the
+    # layer build stay below 170 B per row (the line-by-line parser with
+    # one record per row peaked at 389 B here, the whole-file column
+    # reader at 256 B, the chunked one at 101 B)
     rng = random.Random(4)
     n, rows = 8000, 80_000
     names = [f"n{k:05d}" for k in range(n)]
@@ -429,4 +439,136 @@ def test_load_dataset_memory_per_edge_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.report.edge_counts["u"] > 0.99 * rows
-    assert peak / rows < 340
+    assert peak / rows < 170
+
+
+@pytest.fixture(params=[1, 2, 3])
+def chunk_rows(request, monkeypatch):
+    """Read edge and attribute files in chunks of one, two or three rows."""
+    monkeypatch.setattr(tieplex.io, "_ROWS", request.param)
+    return request.param
+
+
+EARLY_EDGE_ERRORS = {
+    "unknown node": "a,zzz,x",
+    "unknown layer": "a,b,nope",
+    "aggregate layer": "a,b,u",
+    "self-tie": "a,a,x",
+}
+
+
+@pytest.mark.parametrize("early", EARLY_EDGE_ERRORS.values(), ids=EARLY_EDGE_ERRORS.keys())
+def test_late_format_error_beats_early_edge_error(tmp_path, chunk_rows, early):
+    rows = [early, "a,b,x", "b,a,y", "b,a,x", "a,b,y", "a,b"]
+    text = "source,target,layer\n" + "\n".join(rows) + "\n"
+    path = write_dataset(tmp_path, "a\nb\n", text, manifest_doc())
+    with pytest.raises(MalformedLine, match="edges.csv: line 7: expected 3 fields"):
+        load_dataset(path)
+    # without the late row, the early one raises with its line
+    path = write_dataset(tmp_path, "a\nb\n", text.replace("a,b\n", ""), manifest_doc())
+    with pytest.raises((UnknownNode, UnknownLayer, SelfTie), match="edges.csv: line 2: "):
+        load_dataset(path)
+
+
+def test_late_format_error_beats_duplicate_node_label(tmp_path, chunk_rows):
+    text = "source,target,layer\na,b,x\nb,a,x\na,b,y\n\n"
+    path = write_dataset(tmp_path, "a\nb\na\n", text, manifest_doc())
+    with pytest.raises(MalformedLine, match="edges.csv: line 5: blank line"):
+        load_dataset(path)
+    path = write_dataset(tmp_path, "a\nb\na\n", text.rstrip("\n") + "\n", manifest_doc())
+    with pytest.raises(DuplicateNodeLabel, match="nodes.txt: line 3: duplicate node label 'a'"):
+        load_dataset(path)
+
+
+# Enough good rows that the undecodable byte lies past the first block
+# the text layer decodes, so only reading on after the bad row finds it.
+FILLER = "a,b,x\n" * 4000
+
+
+@pytest.mark.parametrize("bad_row", ["a,b", "a,zzz,x", "a,a,x"], ids=["format", "unknown node", "self-tie"])
+def test_utf8_error_after_a_bad_edge_row_is_reported(tmp_path, chunk_rows, bad_row):
+    path = write_dataset(tmp_path, "a\nb\n", "", manifest_doc())
+    text = f"source,target,layer\na,b,x\n{bad_row}\n{FILLER}"
+    (tmp_path / "edges.csv").write_bytes(text.encode() + b"a,\xff,x\n")
+    with pytest.raises(ParseError, match="edges.csv: not valid UTF-8"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("bad_row", ["a,gpa,11", "a,gpa,abc", "a,gpa"], ids=["bucket", "numeric", "format"])
+def test_utf8_error_after_a_bad_attribute_row_is_reported(tmp_path, chunk_rows, bad_row):
+    doc = manifest_doc(attributes="attributes.csv", buckets={"gpa": [{"label": "low", "min": 0, "max": 10}]})
+    path = write_dataset(tmp_path, "a\nb\n", "source,target,layer\n", doc)
+    text = f"node,key,value\na,gpa,7\n{bad_row}\n" + "b,g,F\n" * 4000
+    (tmp_path / "attributes.csv").write_bytes(text.encode() + b"b,g,\xff\n")
+    with pytest.raises(ParseError, match="attributes.csv: not valid UTF-8"):
+        load_dataset(path)
+
+
+BOUNDARY_TEXTS = {
+    "crlf": "source,target,layer\r\na,b,x\r\nb,c,y\r\nc,a,x\r\na,c,y\r\n",
+    "bom": "\ufeffsource,target,layer\na,b,x\nb,c,y\nc,a,x\n",
+    "tab": "source\ttarget\tlayer\na\tb\tx\nb\tc\ty\nc\ta\tx\na\tc\ty",
+    "blank line 3": "source,target,layer\na,b,x\n\nc,a,x\n",
+    "blank line 4": "source,target,layer\na,b,x\nb,c,y\n\r\nc,a,x\n",
+    "blank tab row": "source\ttarget\tlayer\na\tb\tx\nb\tc\ty\n\t\t\nc\ta\tx\n",
+    "spaces line 5": "source,target,layer\na,b,x\nb,c,y\nc,a,x\n  \na,c,y\n",
+}
+
+
+@pytest.mark.parametrize("text", BOUNDARY_TEXTS.values(), ids=BOUNDARY_TEXTS.keys())
+@pytest.mark.parametrize("newline", ["\n", None])
+def test_chunk_boundaries_read_as_lines(chunk_rows, text, newline):
+    got = outcome(lambda: parse_edges(stdio.StringIO(text, newline=newline)))
+    want = outcome(lambda: oracles.parse_edges(stdio.StringIO(text, newline=newline)))
+    if isinstance(want, list):
+        assert [(*r,) for r in got] == [(*r,) for r in want]
+    else:
+        assert got == want
+
+
+def test_load_dataset_same_graph_at_every_chunk_size(tmp_path, monkeypatch):
+    text = "\ufeff" + BOUNDARY_TEXTS["crlf"] + "c,b,x\r\nc,b,x\r\n"
+    path = write_dataset(tmp_path, "\ufeffa\nb\nc\n", text, manifest_doc())
+    loaded = load_dataset(path)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(tieplex.io, "_ROWS", rows)
+        again = load_dataset(path)
+        assert again.graph == loaded.graph and again.report == loaded.report
+    assert loaded.report.duplicates_collapsed["x"] == 1
+    assert loaded.graph.view("u").n_edges == 5
+
+
+BUCKET_CASES = {
+    "bucket first": "a,gpa,7\nb,gpa,11\na,g,F\nb,gpa\n",
+    "format first": "a,gpa,7\nb,gpa\na,g,F\nb,gpa,11\n",
+    "numeric first": "a,g,F\na,gpa,x\nb,gpa,11\n\n",
+    "two buckets": "a,g,F\nb,g,M\na,gpa,5\nb,gpa,11\n",
+    "late bucket": "a,g,F\nb,g,M\na,gpa,8\nb,gpa,9\nb,gpa,-1\n",
+}
+
+
+@pytest.mark.parametrize("rows", BUCKET_CASES.values(), ids=BUCKET_CASES.keys())
+def test_first_bad_attribute_row_wins_across_chunks(chunk_rows, rows):
+    text = "node,key,value\n" + rows
+    got = outcome(lambda: parse_attributes(stdio.StringIO(text), GPA_BUCKETS))
+    want = outcome(lambda: oracles.attribute_table(stdio.StringIO(text), GPA_BUCKETS))
+    assert isinstance(want, tuple) and got == want
+
+
+def test_load_dataset_calls_build_graph_once(tmp_path, monkeypatch):
+    # benchmarks/run.py measures the graph by wrapping tieplex.io.build_graph
+    # and reading its first call; each chunk it draws holds at most _ROWS rows
+    monkeypatch.setattr(tieplex.io, "_ROWS", 2)
+    build = tieplex.io.build_graph
+    calls, chunk_sizes = [], []
+
+    def counted(nodes, specs, edges):
+        calls.append(specs)
+        return build(nodes, specs, (chunk_sizes.append(len(chunk)) or chunk for chunk in edges))
+
+    monkeypatch.setattr(tieplex.io, "build_graph", counted)
+    path = write_dataset(tmp_path, "a\nb\nc\n", BOUNDARY_TEXTS["crlf"].replace("b,c,y", "b,c,x"), manifest_doc())
+    loaded = load_dataset(path)
+    assert len(calls) == 1
+    assert chunk_sizes == [2, 2]
+    assert loaded.report.edge_counts == {"x": 3, "y": 1, "u": 4}

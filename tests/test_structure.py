@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tieplex import (
+    EdgeColumns,
     InvalidParameter,
     LayerParams,
     LayerView,
@@ -231,9 +232,11 @@ def test_assortativities_equal_edge_loop_bitwise(monkeypatch, tmp_path):
     builds = []
     build = synth.build_graph
 
-    def capture(*args):
-        builds.append(args)
-        return build(*args)
+    def capture(nodes, specs, edges):
+        edges = list(edges)  # load_dataset passes its edge-file chunks as a one-pass generator
+        rows = [row for chunk in edges for row in chunk] if edges and isinstance(edges[0], EdgeColumns) else edges
+        builds.append((nodes, specs, rows))
+        return build(nodes, specs, edges)
 
     monkeypatch.setattr(synth, "build_graph", capture)
     monkeypatch.setattr(tieplex_io, "build_graph", capture)
@@ -375,6 +378,32 @@ def test_structural_equivalence_matches_greedy_reference_on_rounding_edges(monke
         monkeypatch.setattr("tieplex.structure.layer_metrics", lambda view: columns)
         for tolerance in (0.1, 0.2, 0.3, 0.5):
             assert structural_equivalence(v, tolerance) == oracles.equivalence_greedy(actors, tolerance)
+
+
+def test_structural_equivalence_tolerance_zero_groups_equal_triples(monkeypatch):
+    # Tolerance 0 groups by equal triples instead of the greedy scan: the
+    # triples repeat, in runs and scattered, and the degree filters pick
+    # subsets; a triple first seen late still orders its class by its
+    # smallest member.
+    v = single([], 80)
+    template = layer_metrics(v).actors[0]
+    grid = [0.0, 0.25, 1 / 3, 0.5, 1.0]
+    for seed in range(20):
+        rng = random.Random(seed)
+        actors = tuple(
+            replace(
+                template, node=i, out_degree=rng.randrange(3), in_degree=rng.randrange(3),
+                reciprocity=rng.choice(grid), cycle_closure=rng.choice(grid[:seed % 5 + 1]),
+                triplet_closure=rng.choice(grid[:2]),
+            )
+            for i in range(80)
+        )
+        fields = ("out_degree", "in_degree", "reciprocity", "cycle_closure", "triplet_closure")
+        columns = SimpleNamespace(**{f: np.array([getattr(a, f) for a in actors]) for f in fields})
+        monkeypatch.setattr("tieplex.structure.layer_metrics", lambda view: columns)
+        for out_degree, in_degree in DEGREE_FILTERS + ((2, 0), (5, None)):
+            want = oracles.equivalence_greedy(actors, 0.0, out_degree, in_degree)
+            assert structural_equivalence(v, 0.0, out_degree, in_degree) == want
 
 
 def test_wedge_single_closed():
