@@ -198,6 +198,7 @@ def parse_nodes(stream: IO[str]) -> list[str]:
         # a byte order mark can only open the file
         label = (raw.lstrip("\ufeff") if line_no == 1 else raw).strip()
         if label == "":
+            _drain(stream)
             raise MalformedLine("blank line in node file", line_no)
         labels.append(label)
     return labels

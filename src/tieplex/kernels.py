@@ -4,18 +4,21 @@ Every Jaccard term in the metrics is one division of integer counts,
 |A ∩ B| / (|A| + |B| - |A ∩ B|), and a closed wedge is a common
 neighbour of a linked pair.  :func:`intersection_counts` computes all
 such counts of one kernel call at once; :func:`row_intersections` gives
-the diagonal ones, ``|P[i] ∩ Q[i]|`` for every row ``i``.
+the diagonal ones, ``|P[i] ∩ Q[i]|`` for every row ``i``, and
+:func:`popcount` the set bits of bitset words.
 
 :func:`intersection_counts` picks one of two strategies per call, by
 one fixed size rule.  While the whole n x n float32 matrix fits 1 MiB
 (n <= 512), the counts are read off the dense product P·Qᵀ: at most
 three such matrices.  Larger graphs take a sorted-key probe: each query
 expands the shorter of its two rows and looks every entry up among the
-other matrix's sorted keys ``row * n + col``, ``2**15`` probes at a
-time.  Its memory is the stored keys plus one such chunk, so a hub of
-any degree never expands into one array proportional to the sum of its
-queries' row lengths.  The counts do not depend on the order of the
-entries within a row.
+other matrix's sorted keys ``row * n + col``.  The queries are sorted
+once by probed row and walked in blocks of at most ``2**15`` queries
+and ``2**15`` expanded entries.  Its memory is the probed keys, 16
+bytes per query (its sort key and place, then its place and count) and
+one block, so a hub of any degree never expands into one array
+proportional to the sum of its queries' row lengths.  The counts do not
+depend on the order of the entries within a row.
 
 :func:`row_means` averages per-row float terms, bit for bit equal to
 ``math.fsum`` over each row divided by its length.
@@ -30,6 +33,7 @@ import numpy as np
 
 _DENSE_BYTES = 1 << 20  # dense n x n float32 product: n <= 512
 _STEP = 1 << 15  # CSR entries gathered per numpy step
+_BITWISE_COUNT = hasattr(np, "bitwise_count")  # the popcount ufunc, numpy 2.0 on
 
 
 class CSR(NamedTuple):
@@ -105,14 +109,21 @@ def intersection_counts(P: CSR, Q: CSR, rows, cols) -> np.ndarray:
         a = _dense(P, n)
         b = a if Q is P else _dense(Q, n)
         return (a @ b.T)[rows, cols].astype(np.int64)
+    # Expand the shorter of the two rows of each query (the count is
+    # symmetric) and probe the other.  One sort orders the queries by
+    # probed row: those that probe Q (key = their Q row) before those
+    # that probe P (key = n + their P row).
+    key = np.where(P.degrees()[rows] <= Q.degrees()[cols], cols, rows + n)
+    order = np.argsort(key)
+    split = int(np.searchsorted(key, n, sorter=order))
+    del key
     counts = np.zeros(len(rows), dtype=np.int64)
-    # expand the shorter of the two rows of each query: the count is symmetric
-    fewer = P.degrees()[rows] <= Q.degrees()[cols]
-    groups = ((fewer, P, Q, rows, cols), (~fewer, Q, P, cols, rows))
-    for chosen, expanded, probed, expanded_rows, probed_rows in groups:
-        queries = np.flatnonzero(chosen)
+    for queries, expanded, probed, expanded_rows, probed_rows in (
+        (order[:split], P, Q, rows, cols),
+        (order[split:], Q, P, cols, rows),
+    ):
         if len(queries):
-            counts[queries] = _probe_counts(expanded, probed, expanded_rows[queries], probed_rows[queries], n)
+            _probe_counts(expanded, probed, expanded_rows, probed_rows, queries, counts, n)
     return counts
 
 
@@ -123,30 +134,40 @@ def _dense(csr: CSR, n: int) -> np.ndarray:
     return dense
 
 
-def _probe_counts(P: CSR, Q: CSR, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """``|P[rows[t]] ∩ Q[cols[t]]|`` by looking each entry of ``P[rows[t]]`` up among Q's keys.
+def _probe_counts(
+    P: CSR, Q: CSR, rows: np.ndarray, cols: np.ndarray, queries: np.ndarray, counts: np.ndarray, n: int
+) -> None:
+    """Set ``counts[t] = |P[rows[t]] ∩ Q[cols[t]]|`` for every ``t`` in ``queries``.
 
-    Every stored entry ``(i, j)`` of Q is the key ``i * n + j``, sorted
-    because the rows are.  The queries are ordered by their Q row, so
+    Each entry of ``P[rows[t]]`` is looked up among Q's keys: every
+    stored entry ``(i, j)`` of Q is the key ``i * n + j``, sorted
+    because the rows are.  ``queries`` come ordered by their Q row, so
     the probed keys ``cols[t] * n + x`` come out almost sorted, which
-    keeps ``searchsorted`` fast.  Temporaries are Q's keys plus one
-    ``_STEP`` chunk of probes.
+    keeps ``searchsorted`` fast.  They are walked in blocks of at most
+    ``_STEP`` queries and ``_STEP`` expanded entries (a longer row is a
+    block of its own, which :func:`_entries` splits), so the temporaries
+    are Q's keys plus one block.
     """
     held = _keys(Q, n)
-    order = np.argsort(cols)
-    rows, cols = rows[order], cols[order]
-    found = np.zeros(len(rows), dtype=np.int64)
-    for t, pos in _entries(P.indptr, rows):
-        keys = cols[t] * n + P.indices[pos]
-        # search only the keys of the chunk's Q rows, plus the next key
-        # (at worst the sentinel), which exceeds every probe
-        lo, hi = np.searchsorted(held, (cols[t[0]] * n, (cols[t[-1]] + 1) * n))
-        window = held[lo:hi + 1]
-        hits = t[window[np.searchsorted(window, keys)] == keys]
-        found[t[0]:t[-1] + 1] += np.bincount(hits - t[0], minlength=t[-1] - t[0] + 1)
-    counts = np.empty_like(found)
-    counts[order] = found
-    return counts
+    degrees = P.degrees()
+    first, size = 0, _STEP
+    while first < len(queries):
+        # the next queries whose rows hold at most _STEP entries in all,
+        # or the next query alone, looking twice as many queries ahead as
+        # the last block took
+        block = queries[first:first + size]
+        block_rows = rows[block]
+        fit = max(int(np.searchsorted(np.cumsum(degrees[block_rows]), _STEP, side="right")), 1)
+        block, block_rows = block[:fit], block_rows[:fit]
+        first, size = first + fit, min(2 * fit, _STEP)
+        block_cols = cols[block]
+        for t, pos in _entries(P.indptr, block_rows):
+            keys = block_cols[t] * n + P.indices[pos]
+            # search only the keys of the chunk's Q rows, plus the next key
+            # (at worst the sentinel), which exceeds every probe
+            lo, hi = np.searchsorted(held, (block_cols[t[0]] * n, (block_cols[t[-1]] + 1) * n))
+            window = held[lo:hi + 1]
+            counts[block] += np.bincount(t[window[np.searchsorted(window, keys)] == keys], minlength=fit)
 
 
 def row_intersections(P: CSR, Q: CSR) -> np.ndarray:
@@ -187,6 +208,21 @@ def jaccard_terms(inter: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> 
     terms = np.zeros(len(inter), dtype=np.float64)
     np.divide(inter, union, out=terms, where=union > 0)
     return terms
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of every word of a ``uint64`` array, as an array of the same shape.
+
+    ``np.bitwise_count`` where numpy has it.  Older numpy counts by SWAR:
+    the bits are summed in pairs, then nibbles, then bytes, and one
+    multiplication adds the eight byte counts into the top byte.
+    """
+    if _BITWISE_COUNT:
+        return np.bitwise_count(words)
+    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
 def row_means(terms: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -285,13 +285,37 @@ def render_text(report: dict) -> str:
     grid = [list(columns)]
     for row in report["rows"]:
         grid.append([_format_cell(row[c]) for c in columns])
-    widths = [max(len(line[k]) for line in grid) for k in range(len(columns))]
+    # pad by display width, which is the length in an all-ASCII table
+    width = len if "".join(map("".join, grid)).isascii() else _display_width
+    widths = [max(width(line[k]) for line in grid) for k in range(len(columns))]
     lines = _header_lines(report)
     for line in grid:
-        lines.append("  ".join(cell.ljust(widths[k]) for k, cell in enumerate(line)).rstrip())
+        # ljust counts characters, so a cell narrower or wider than its length pads to a shifted target
+        targets = widths if width is len else [w + len(cell) - width(cell) for cell, w in zip(line, widths)]
+        lines.append("  ".join(cell.ljust(t) for cell, t in zip(line, targets)).rstrip())
     if "baseline" in report:
         lines.append(f"baseline {_format_cell(report['baseline'])}")
     return "\n".join(lines) + "\n"
+
+
+def _display_width(cell: str) -> int:
+    """Columns ``cell`` takes in a terminal.
+
+    Combining characters and format characters (category Cf, such as
+    U+FEFF) take none, wide and fullwidth East Asian characters two,
+    every other character one.
+    """
+    if cell.isascii():
+        return len(cell)
+    # imported here: its tables add about 0.1 MiB to the resident size
+    # of every run, and most reports hold ASCII cells only
+    import unicodedata
+
+    return sum(
+        0 if unicodedata.combining(ch) or unicodedata.category(ch) == "Cf"
+        else 2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1
+        for ch in cell
+    )
 
 
 def render_csv(report: dict) -> str:

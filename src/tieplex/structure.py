@@ -15,12 +15,10 @@ import numpy as np
 
 from .errors import InvalidParameter, NotStronglyConnected
 from .graph import LayerView, MultiplexGraph, _merge
-from .kernels import CSR, _entries, intersection_counts
+from .kernels import CSR, _entries, intersection_counts, popcount
 from .metrics import layer_metrics
 
 _BLOCK = 1024  # BFS sources per block: 16 uint64 words per node
-# Set bits of every byte value: numpy before 2.0 has no popcount ufunc.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -194,7 +192,7 @@ def path_stats(view: LayerView, component: Iterable[int]) -> PathStats:
             reached &= ~seen
             seen |= reached
             frontier = reached
-            found = int(_POPCOUNT[frontier[members].view(np.uint8)].sum())
+            found = int(popcount(frontier[members]).sum())
             if found:
                 total += level * found
                 diameter = max(diameter, level)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels
@@ -63,6 +64,12 @@ def mutual_dyad():
 def force_probe(monkeypatch):
     """Send every ``intersection_counts`` call to the sorted-key probe: no dense matrix fits a 0-byte budget."""
     monkeypatch.setattr(kernels, "_DENSE_BYTES", 0)
+
+
+def force_swar_popcount(monkeypatch):
+    """Send every ``kernels.popcount`` call to its SWAR fallback, as on numpy before 2.0, and hide ``np.bitwise_count``."""
+    monkeypatch.setattr(kernels, "_BITWISE_COUNT", False)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
 
 
 @pytest.fixture(params=["dense", "probe"])

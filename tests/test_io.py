@@ -504,6 +504,16 @@ def test_utf8_error_after_a_bad_attribute_row_is_reported(tmp_path, chunk_rows, 
         load_dataset(path)
 
 
+def test_utf8_error_after_a_blank_node_line_is_reported(tmp_path):
+    nodes = "a\n\n" + "".join(f"n{k}\n" for k in range(4000))
+    path = write_dataset(tmp_path, nodes, "source,target,layer\n", manifest_doc())
+    with pytest.raises(MalformedLine, match="nodes.txt: line 2: blank line in node file"):
+        load_dataset(path)
+    (tmp_path / "nodes.txt").write_bytes(nodes.encode() + b"\xff\n")
+    with pytest.raises(ParseError, match="nodes.txt: not valid UTF-8"):
+        load_dataset(path)
+
+
 BOUNDARY_TEXTS = {
     "crlf": "source,target,layer\r\na,b,x\r\nb,c,y\r\nc,a,x\r\na,c,y\r\n",
     "bom": "\ufeffsource,target,layer\na,b,x\nb,c,y\nc,a,x\n",

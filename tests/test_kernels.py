@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from conftest import force_probe, metric_corpus
+from conftest import force_probe, force_swar_popcount, metric_corpus
 
 from tieplex import LayerSpec, build_graph, kernels, layer_metrics, wedge_closure
-from tieplex.kernels import CSR, intersection_counts, jaccard_terms, row_intersections, row_means
+from tieplex.kernels import CSR, intersection_counts, jaccard_terms, popcount, row_intersections, row_means
 
 
 def csr(sets):
@@ -126,6 +126,46 @@ def test_hub_graph_memory_stays_bounded():
     assert result.closed == {"a": 0, "any": 0}
 
 
+def probe_peak(P, Q, rows, cols):
+    """``tracemalloc`` peak of one ``intersection_counts`` call, in bytes, and its counts."""
+    tracemalloc.start()
+    try:
+        counts = intersection_counts(P, Q, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, counts
+
+
+def test_probe_scratch_per_query_stays_bounded():
+    # n = 6000 takes the probe.  Rows tie to nearby columns and queries
+    # pair nearby rows, so many counts are nonzero.  Most queries expand
+    # P's row, the rest Q's, so both groups run.  The probed keys and
+    # the blocks do not grow with the query count, so the peak's slope
+    # over two query counts is the scratch each query holds plus its
+    # 8-byte count in the result.
+    rng = np.random.default_rng(7)
+    n = 6000
+
+    def near(degrees):
+        rows = np.repeat(np.arange(n), degrees)
+        return CSR.from_keys(np.unique(rows * n + (rows + rng.integers(-20, 21, len(rows))) % n), n)
+
+    P, Q = near(rng.choice([0, 1, 2, 3, 4, 12], size=n, p=[0.1, 0.2, 0.3, 0.2, 0.15, 0.05])), near(6)
+    rows = rng.integers(0, n, 300_000).astype(np.intp)
+    cols = (rows + rng.integers(-10, 11, len(rows))) % n
+    assert 0.8 < (P.degrees()[rows] <= Q.degrees()[cols]).mean() < 0.97
+    small, large = 75_000, 300_000
+    peak_small, _ = probe_peak(P, Q, rows[:small], cols[:small])
+    peak_large, counts = probe_peak(P, Q, rows, cols)
+    p_rows, q_rows = P.rows(), Q.rows()
+    sample = range(0, large, 97)
+    assert [counts[t] for t in sample] == [len(set(p_rows[rows[t]]) & set(q_rows[cols[t]])) for t in sample]
+    assert np.count_nonzero(counts) > 50_000
+    per_query = (peak_large - peak_small) / (large - small) - 8
+    assert per_query <= 40, per_query
+
+
 def assert_diagonal(P, Q):
     nodes = np.arange(len(P.indptr) - 1)
     counts = row_intersections(P, Q)
@@ -153,6 +193,20 @@ def test_row_intersections_hub_empty_rows_and_empty_layer():
     assert row_intersections(hub, empty).tolist() == [0] * n
     none = csr([])
     assert row_intersections(none, none).tolist() == []
+
+
+@pytest.mark.parametrize("swar", [False, True])
+def test_popcount_counts_set_bits(monkeypatch, swar):
+    if swar:
+        force_swar_popcount(monkeypatch)
+    rng = np.random.default_rng(11)
+    words = rng.integers(0, 2**64, size=(500, 16), dtype=np.uint64)
+    words[0] = [0, 2**64 - 1, 1, 2**63, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA, 0xFF, 0xFF << 56, *range(8)]
+    words[1] &= words[2]  # sparser words
+    counts = popcount(words)
+    assert counts.shape == words.shape
+    assert counts.tolist() == [[bin(w).count("1") for w in row] for row in words.tolist()]
+    assert counts[0, :4].tolist() == [0, 64, 1, 1]
 
 
 def fsum_means(terms, indptr):

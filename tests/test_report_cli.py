@@ -170,6 +170,27 @@ def test_text_and_json_agree_rounded(demo):
                 assert cell == str(value)
 
 
+def text_table(labels):
+    """The table lines of ``render_text`` over a node column of ``labels`` and an int column."""
+    report = {
+        "report": "t", "conventions": {}, "parameters": {}, "columns": ["node", "score"],
+        "rows": [{"node": label, "score": 10 ** k} for k, label in enumerate(labels)],
+    }
+    return [line for line in render_text(report).splitlines() if not line.startswith("#")]
+
+
+def test_text_table_pads_a_zero_width_character_by_display_width():
+    # U+FEFF (category Cf) takes no column, so the second row pads as "b"
+    assert text_table(["a", "\ufeffb", "c"]) == ["node  score", "a     1", "\ufeffb     10", "c     100"]
+    assert text_table(["a\u0301", "bb"]) == ["node  score", "a\u0301     1", "bb    10"]  # a combining accent
+
+
+def test_text_table_pads_a_wide_character_by_display_width():
+    # each CJK character takes two columns
+    assert text_table(["中文", "a", "文b"]) == ["node  score", "中文  1", "a     10", "文b   100"]
+    assert text_table(["中文字", "a"]) == ["node    score", "中文字  1", "a       10"]
+
+
 def test_renderers_are_deterministic(demo):
     report = cross_report(demo)
     assert render_json(report) == render_json(cross_report(demo))

@@ -37,7 +37,7 @@ from tieplex import (
 from tieplex import io as tieplex_io
 from tieplex import kernels
 
-from conftest import metric_corpus, single, two_layer
+from conftest import force_swar_popcount, metric_corpus, single, two_layer
 
 
 def test_scc_three_cycle(three_cycle):
@@ -106,6 +106,17 @@ def assert_path_stats_match_bfs(v, component):
 def test_path_stats_matches_bfs_on_corpus(monkeypatch, step):
     if step:  # cut the in-edges into runs of 3, so most rows are split across runs
         monkeypatch.setattr(kernels, "_STEP", step)
+    assert_corpus_path_stats_match_bfs()
+
+
+def test_path_stats_matches_bfs_on_corpus_with_swar_popcount(monkeypatch):
+    # the popcount of numpy before 2.0, which has no np.bitwise_count
+    force_swar_popcount(monkeypatch)
+    assert_corpus_path_stats_match_bfs()
+
+
+def assert_corpus_path_stats_match_bfs():
+    """``path_stats`` matches the BFS oracle on every corpus layer, for several components each."""
     rng = random.Random(9)
     not_strong = 0
     for g in metric_corpus():
