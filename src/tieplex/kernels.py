@@ -12,13 +12,14 @@ one fixed size rule.  While the whole n x n float32 matrix fits 1 MiB
 (n <= 512), the counts are read off the dense product P·Qᵀ: at most
 three such matrices.  Larger graphs take a sorted-key probe: each query
 expands the shorter of its two rows and looks every entry up among the
-other matrix's sorted keys ``row * n + col``.  The queries are sorted
-once by probed row and walked in blocks of at most ``2**15`` queries
-and ``2**15`` expanded entries.  Its memory is the probed keys, 16
-bytes per query (its sort key and place, then its place and count) and
-one block, so a hub of any degree never expands into one array
-proportional to the sum of its queries' row lengths.  The counts do not
-depend on the order of the entries within a row.
+other matrix's sorted keys ``row * n + col``.  The queries are split by
+the expanded side, each group is sorted once by probed row, and its
+expanded entries are walked ``2**15`` at a time.  Its memory is the
+probed keys, about 30 bytes per query (its place and sort key while
+sorting, then its place and where its expanded entries end) and one
+step, so a hub of any degree never expands into one array proportional
+to the sum of its queries' row lengths.  The counts do not depend on
+the order of the entries within a row.
 
 :func:`row_means` averages per-row float terms, bit for bit equal to
 ``math.fsum`` over each row divided by its length.
@@ -71,23 +72,19 @@ class CSR(NamedTuple):
         return np.repeat(np.arange(len(self.indptr) - 1), self.degrees())
 
 
-def _entries(indptr: np.ndarray, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Walk the CSR entries of ``rows[0]``, ``rows[1]``, ... in order, ``_STEP`` at a time.
+def _spans(bounds: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Walk the entries of consecutive rows ``_STEP`` at a time; row ``k`` holds entries ``bounds[k]:bounds[k + 1]``.
 
-    Yields ``(t, pos)``: ``pos`` indexes the indices array and ``t`` is
-    the position in ``rows`` of the row each entry belongs to.
+    ``bounds`` starts at 0 and never falls.  Yields ``(lo, t, offset)``
+    per step: ``lo + t`` is the row of each entry and ``offset`` its
+    place within that row.
     """
-    lengths = indptr[rows + 1] - indptr[rows]
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    shift = indptr[rows] - starts
-    total = int(ends[-1]) if len(ends) else 0
+    total = int(bounds[-1])
     for first in range(0, total, _STEP):
         last = min(first + _STEP, total)
-        lo, hi = np.searchsorted(ends, (first, last - 1), side="right")
-        span = slice(lo, hi + 1)
-        t = np.repeat(np.arange(lo, hi + 1), np.minimum(ends[span], last) - np.maximum(starts[span], first))
-        yield t, np.arange(first, last) + shift[t]
+        lo, hi = np.searchsorted(bounds, (first, last - 1), side="right") - 1
+        t = np.repeat(np.arange(hi + 1 - lo), np.diff(np.minimum(bounds[lo + 1:hi + 2], last), prepend=first))
+        yield int(lo), t, np.arange(first, last) - bounds[lo:hi + 1][t]
 
 
 def intersection_counts(P: CSR, Q: CSR, rows, cols) -> np.ndarray:
@@ -109,20 +106,16 @@ def intersection_counts(P: CSR, Q: CSR, rows, cols) -> np.ndarray:
         a = _dense(P, n)
         b = a if Q is P else _dense(Q, n)
         return (a @ b.T)[rows, cols].astype(np.int64)
-    # Expand the shorter of the two rows of each query (the count is
-    # symmetric) and probe the other.  One sort orders the queries by
-    # probed row: those that probe Q (key = their Q row) before those
-    # that probe P (key = n + their P row).
-    key = np.where(P.degrees()[rows] <= Q.degrees()[cols], cols, rows + n)
-    order = np.argsort(key)
-    split = int(np.searchsorted(key, n, sorter=order))
-    del key
+    # expand the shorter of the two rows of each query: the count is symmetric
+    fewer = P.degrees()[rows] <= Q.degrees()[cols]
     counts = np.zeros(len(rows), dtype=np.int64)
-    for queries, expanded, probed, expanded_rows, probed_rows in (
-        (order[:split], P, Q, rows, cols),
-        (order[split:], Q, P, cols, rows),
+    for chosen, expanded, probed, expanded_rows, probed_rows in (
+        (fewer, P, Q, rows, cols),
+        (~fewer, Q, P, cols, rows),
     ):
+        queries = np.flatnonzero(chosen)
         if len(queries):
+            queries = queries[np.argsort(probed_rows[queries])]
             _probe_counts(expanded, probed, expanded_rows, probed_rows, queries, counts, n)
     return counts
 
@@ -137,37 +130,29 @@ def _dense(csr: CSR, n: int) -> np.ndarray:
 def _probe_counts(
     P: CSR, Q: CSR, rows: np.ndarray, cols: np.ndarray, queries: np.ndarray, counts: np.ndarray, n: int
 ) -> None:
-    """Set ``counts[t] = |P[rows[t]] ∩ Q[cols[t]]|`` for every ``t`` in ``queries``.
+    """Add ``|P[rows[t]] ∩ Q[cols[t]]|`` into ``counts[t]``, which starts at 0, for every ``t`` in ``queries``.
 
     Each entry of ``P[rows[t]]`` is looked up among Q's keys: every
     stored entry ``(i, j)`` of Q is the key ``i * n + j``, sorted
     because the rows are.  ``queries`` come ordered by their Q row, so
     the probed keys ``cols[t] * n + x`` come out almost sorted, which
-    keeps ``searchsorted`` fast.  They are walked in blocks of at most
-    ``_STEP`` queries and ``_STEP`` expanded entries (a longer row is a
-    block of its own, which :func:`_entries` splits), so the temporaries
-    are Q's keys plus one block.
+    keeps ``searchsorted`` fast.  The expanded entries are walked
+    ``_STEP`` at a time, each step gathering the rows and columns of
+    its own queries only, so the temporaries are Q's keys, the entry
+    bounds of the queries' rows and one step.
     """
     held = _keys(Q, n)
-    degrees = P.degrees()
-    first, size = 0, _STEP
-    while first < len(queries):
-        # the next queries whose rows hold at most _STEP entries in all,
-        # or the next query alone, looking twice as many queries ahead as
-        # the last block took
-        block = queries[first:first + size]
-        block_rows = rows[block]
-        fit = max(int(np.searchsorted(np.cumsum(degrees[block_rows]), _STEP, side="right")), 1)
-        block, block_rows = block[:fit], block_rows[:fit]
-        first, size = first + fit, min(2 * fit, _STEP)
-        block_cols = cols[block]
-        for t, pos in _entries(P.indptr, block_rows):
-            keys = block_cols[t] * n + P.indices[pos]
-            # search only the keys of the chunk's Q rows, plus the next key
-            # (at worst the sentinel), which exceeds every probe
-            lo, hi = np.searchsorted(held, (block_cols[t[0]] * n, (block_cols[t[-1]] + 1) * n))
-            window = held[lo:hi + 1]
-            counts[block] += np.bincount(t[window[np.searchsorted(window, keys)] == keys], minlength=fit)
+    bounds = np.zeros(len(queries) + 1, dtype=np.int64)
+    np.cumsum(P.degrees()[rows[queries]], out=bounds[1:])
+    for lo, t, offset in _spans(bounds):
+        step = queries[lo:lo + int(t[-1]) + 1]
+        step_cols = cols[step]
+        keys = step_cols[t] * n + P.indices[P.indptr[rows[step]][t] + offset]
+        # search only the keys of the step's Q rows, plus the next key
+        # (at worst the sentinel), which exceeds every probe
+        start, stop = np.searchsorted(held, (step_cols[0] * n, (step_cols[-1] + 1) * n))
+        window = held[start:stop + 1]
+        counts[step] += np.bincount(t[window[np.searchsorted(window, keys)] == keys], minlength=len(step))
 
 
 def row_intersections(P: CSR, Q: CSR) -> np.ndarray:

@@ -285,14 +285,12 @@ def render_text(report: dict) -> str:
     grid = [list(columns)]
     for row in report["rows"]:
         grid.append([_format_cell(row[c]) for c in columns])
-    # pad by display width, which is the length in an all-ASCII table
-    width = len if "".join(map("".join, grid)).isascii() else _display_width
-    widths = [max(width(line[k]) for line in grid) for k in range(len(columns))]
+    shown = [[_display_width(cell) for cell in line] for line in grid]
+    widths = [max(column) for column in zip(*shown)]
     lines = _header_lines(report)
-    for line in grid:
+    for line, sizes in zip(grid, shown):
         # ljust counts characters, so a cell narrower or wider than its length pads to a shifted target
-        targets = widths if width is len else [w + len(cell) - width(cell) for cell, w in zip(line, widths)]
-        lines.append("  ".join(cell.ljust(t) for cell, t in zip(line, targets)).rstrip())
+        lines.append("  ".join(cell.ljust(len(cell) + w - size) for cell, size, w in zip(line, sizes, widths)).rstrip())
     if "baseline" in report:
         lines.append(f"baseline {_format_cell(report['baseline'])}")
     return "\n".join(lines) + "\n"

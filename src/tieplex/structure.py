@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotStronglyConnected
 from .graph import LayerView, MultiplexGraph, _merge
-from .kernels import CSR, _entries, intersection_counts, popcount
+from .kernels import CSR, _spans, intersection_counts, popcount
 from .metrics import layer_metrics
 
 _BLOCK = 1024  # BFS sources per block: 16 uint64 words per node
@@ -211,9 +211,10 @@ def _in_edge_steps(inn: CSR) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     steps, whose results are OR-ed into the same row.
     """
     steps = []
-    for row, pos in _entries(inn.indptr, np.arange(len(inn.indptr) - 1)):
-        starts = np.flatnonzero(np.diff(row, prepend=-1))
-        steps.append((row[starts], starts, inn.indices[pos[0]:pos[-1] + 1]))
+    for lo, t, offset in _spans(inn.indptr):
+        first = inn.indptr[lo] + offset[0]
+        starts = np.flatnonzero(np.diff(t, prepend=-1))
+        steps.append((lo + t[starts], starts, inn.indices[first:first + len(t)]))
     return steps
 
 
