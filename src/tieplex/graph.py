@@ -10,7 +10,8 @@ processes without locking.
 
 Validation lives here: :func:`build_graph` alone checks node labels and
 edges, and :func:`check_layers` alone checks layer declarations (for
-manifests too).  Each layer is stored once, as its :class:`LayerView`.
+manifests too).  Each layer is stored once, as the two CSRs of its
+:class:`LayerView`.
 """
 
 from __future__ import annotations
@@ -112,18 +113,18 @@ class LayerSpec:
 
 
 class LayerView:
-    """Read-only adjacency of a single layer, stored as three CSR matrices.
+    """Read-only adjacency of a single layer, stored as two CSR matrices.
 
-    ``out`` holds each node's successors, ``inn`` its predecessors and
-    ``und`` its neighbours ignoring direction (out ∪ in); node ids are
-    dense and every row is sorted.  Invariants: ``inn`` is the
-    transpose of ``out``, and each holds ``n_edges`` entries.
+    ``out`` holds each node's successors and ``inn`` its predecessors;
+    node ids are dense and every row is sorted.  Invariants: ``inn`` is
+    the transpose of ``out``, and each holds ``n_edges`` entries.  The
+    undirected projection (out ∪ in) is derived where it is read.
 
     ``keys`` are the layer's ties ``i * n_nodes + j``, sorted and
     unique.
     """
 
-    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "und")
+    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn")
 
     def __init__(self, name: str, n_nodes: int, keys: np.ndarray):
         self.name = name
@@ -136,9 +137,6 @@ class LayerView:
         del rows, cols  # each temporary goes as soon as its CSR is built
         transposed.sort()
         self.inn = CSR.from_keys(transposed, n_nodes)
-        merged = _merge(keys, transposed)
-        del transposed
-        self.und = CSR.from_keys(merged, n_nodes)
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
@@ -164,7 +162,7 @@ class LayerView:
 
     def undirected_neighbors(self, i: int) -> frozenset[int]:
         """Nodes adjacent to ``i`` ignoring direction."""
-        return frozenset(self._row(self.und, i).tolist())
+        return self.out_set(i) | self.in_set(i)
 
     def has_edge(self, i: int, j: int) -> bool:
         succ = self._row(self.out, i)

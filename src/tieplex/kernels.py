@@ -96,7 +96,7 @@ def intersection_counts(P: CSR, Q: CSR, rows, cols) -> np.ndarray:
     integers either way.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
+    cols = np.asarray(cols)
     if not len(rows):
         return np.zeros(0, dtype=np.int64)
     n = len(Q.indptr) - 1
@@ -146,7 +146,7 @@ def _probe_counts(
     np.cumsum(P.degrees()[rows[queries]], out=bounds[1:])
     for lo, t, offset in _spans(bounds):
         step = queries[lo:lo + int(t[-1]) + 1]
-        step_cols = cols[step]
+        step_cols = cols[step].astype(np.int64)  # an int32 column id times n would wrap
         keys = step_cols[t] * n + P.indices[P.indptr[rows[step]][t] + offset]
         # search only the keys of the step's Q rows, plus the next key
         # (at worst the sentinel), which exceeds every probe

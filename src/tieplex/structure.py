@@ -241,12 +241,12 @@ def degree_assortativity(view: LayerView) -> float:
     """Pearson degree assortativity of the undirected projection.
 
     Degrees are undirected-projection degrees; every undirected edge
-    contributes its endpoint degree pair in both orders, summed along
-    the sorted ``und`` rows.  Returns NaN when there is no edge or the
-    endpoint degrees have zero variance (the degenerate-variance flag).
+    contributes its endpoint degree pair in both orders, summed in the
+    sorted order of the linked pairs.  Returns NaN when there is no edge or
+    the endpoint degrees have zero variance (the degenerate-variance flag).
     """
-    deg = view.und.degrees()
-    a, b = np.divmod(_linked_pairs(view.und, view.n_nodes), view.n_nodes)
+    a, b = np.divmod(_linked_pairs(view), view.n_nodes)
+    deg = np.bincount(np.concatenate((a, b)), minlength=view.n_nodes)
     x, y = deg[a], deg[b]
     return _pearson(np.concatenate((x, y)), np.concatenate((y, x)))
 
@@ -371,13 +371,16 @@ def wedge_closure(
     ``"any"`` entry counts wedges closed by at least one closing layer.
     A closing layer listed twice raises :class:`InvalidParameter`.
     """
-    wedge = g.view(wedge_layer).und
+    out = g.view(wedge_layer).out
     names = list(closing_layers)
     views = [g.view(name) for name in names]  # an unknown layer is named before a repeated one
     for name in names:
         if names.count(name) > 1:
             raise InvalidParameter(f"closing layer '{name}' is listed more than once")
     n = g.n_nodes
+    rows, cols = out.row_ids(), out.indices.astype(np.int64)
+    wedge = CSR.from_keys(_merge(rows * n + cols, cols * n + rows), n)  # out ∪ in
+    del rows, cols
     degree = wedge.degrees()
     total = int((degree * (degree - 1) // 2).sum())
 
@@ -387,7 +390,7 @@ def wedge_closure(
     # count: the union and one layer's pairs are held, not every layer's.
     union = np.zeros(0, dtype=np.int64)
     for view in views:
-        union = _merge(union, _linked_pairs(view.und, n))
+        union = _merge(union, _linked_pairs(view))
     a, b = np.divmod(union, n)
     swap = degree[a] > degree[b]  # walk the shorter row; the count is symmetric
     a[swap], b[swap] = b[swap], a[swap]
@@ -395,7 +398,7 @@ def wedge_closure(
     common = intersection_counts(wedge, wedge, a, b)
     del a, b
     closed = {
-        name: int(common[np.searchsorted(union, _linked_pairs(view.und, n))].sum())
+        name: int(common[np.searchsorted(union, _linked_pairs(view))].sum())
         for name, view in zip(names, views)
     }
     closed["any"] = int(common.sum())
@@ -405,11 +408,10 @@ def wedge_closure(
     return WedgeReport(wedge_layer=wedge_layer, total=total, closed=closed, pct=pct)
 
 
-def _linked_pairs(und: CSR, n: int) -> np.ndarray:
+def _linked_pairs(view: LayerView) -> np.ndarray:
     """Sorted keys ``a * n + b``, a < b, of node pairs tied in either direction."""
-    a = und.row_ids()
-    upper = und.indices > a
-    return a[upper] * n + und.indices[upper]
+    n, a, b = view.n_nodes, view.out.row_ids(), view.out.indices
+    return _merge(np.minimum(a, b) * n + np.maximum(a, b))
 
 
 def layer_summary(view: LayerView) -> LayerSummary:

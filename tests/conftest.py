@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels
+from tieplex.graph import _merge
+from tieplex.kernels import CSR
 
 
 # Every report verb with the arguments it requires, each layer argument
@@ -21,6 +23,13 @@ def single(edges, n):
     labels = [str(k) for k in range(n)]
     triples = [(str(i), str(j), "L") for i, j in edges]
     return build_graph(labels, [LayerSpec.basic("L")], triples).view("L")
+
+
+def undirected(view):
+    """The undirected projection of ``view`` (out ∪ in), built as ``wedge_closure`` builds it."""
+    n = view.n_nodes
+    rows, cols = view.out.row_ids(), view.out.indices.astype(np.int64)
+    return CSR.from_keys(_merge(rows * n + cols, cols * n + rows), n)
 
 
 def two_layer(edges_a, edges_b, n):

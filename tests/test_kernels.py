@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from conftest import force_probe, force_swar_popcount, metric_corpus
+from conftest import force_probe, force_swar_popcount, metric_corpus, undirected
 
 from tieplex import LayerSpec, build_graph, kernels, layer_metrics, wedge_closure
 from tieplex.kernels import CSR, intersection_counts, jaccard_terms, popcount, row_intersections, row_means
@@ -52,8 +52,9 @@ def all_pairs_match_sets(P, Q):
 def test_intersection_counts_match_sets_on_corpus(kernel_path):
     for g in metric_corpus():
         v = g.view("u")
-        for P in (v.out, v.inn, v.und):
-            for Q in (v.out, v.inn, v.und):
+        und = undirected(v)
+        for P in (v.out, v.inn, und):
+            for Q in (v.out, v.inn, und):
                 all_pairs_match_sets(P, Q)
         a, b = g.view("a"), g.view("b")
         all_pairs_match_sets(a.out, b.inn)
@@ -100,7 +101,8 @@ def test_probe_chunks_that_split_single_rows(monkeypatch):
     monkeypatch.setattr(kernels, "_STEP", 7)
     for g in metric_corpus(60):
         v = g.view("u")
-        for P, Q in ((v.out, v.inn), (v.und, v.und), (v.inn, v.out)):
+        und = undirected(v)
+        for P, Q in ((v.out, v.inn), (und, und), (v.inn, v.out)):
             all_pairs_match_sets(P, Q)
     n = 40
     hub = csr([set(range(1, n))] + [{0, *range(k, n, k)} for k in range(1, n)])
@@ -166,6 +168,43 @@ def test_probe_scratch_per_query_stays_bounded():
     assert per_query <= 40, per_query
 
 
+def test_int32_cols_take_no_wider_copy():
+    # metrics._closure passes a CSR's int32 indices as ``cols``; a widened
+    # copy of them all would hold 8 more bytes per query than intp ``cols``
+    rng = np.random.default_rng(9)
+    n = 6000
+    ends = np.repeat(np.arange(n), 5)  # ties to nearby nodes, so many counts are nonzero
+    walk = CSR.from_keys(np.unique(ends * n + (ends + rng.integers(-10, 11, len(ends))) % n), n)
+    rows, cols = walk.row_ids(), walk.indices
+    assert cols.dtype == np.int32
+    intersection_counts(walk, walk, rows, cols)  # the first call allocates a few hundred bytes once
+    peak_int32, counts = probe_peak(walk, walk, rows, cols)
+    peak_intp, expected = probe_peak(walk, walk, rows, cols.astype(np.intp))
+    assert counts.tolist() == expected.tolist()
+    assert np.count_nonzero(counts) > 1000
+    assert peak_int32 <= peak_intp, (peak_int32, peak_intp)
+
+
+def test_int32_cols_near_the_last_node_id():
+    # 49,999 * 50,000 wraps in int32, so the probe widens each step's
+    # column ids before it keys them
+    rng = random.Random(11)
+    n = 50_000
+    ends = range(n - 50, n)
+    p_rows, q_rows = [set() for _ in range(n)], [set() for _ in range(n)]
+    for k in [*rng.sample(range(n - 50), 200), *ends]:
+        p_rows[k] = set(rng.sample(ends, 5)) | set(rng.sample(range(n), 5))
+        q_rows[k] = set(rng.sample(ends, 5)) | set(rng.sample(range(n), 5))
+    P, Q = csr(p_rows), csr(q_rows)
+    busy = [k for k in range(n) if p_rows[k]]
+    rows = [rng.choice(busy) for _ in range(2000)] + [n - 1] * 50
+    cols = [rng.choice(busy) for _ in range(2000)] + list(ends)
+    expected = [len(p_rows[r] & q_rows[c]) for r, c in zip(rows, cols)]
+    assert sum(map(bool, expected)) > 500
+    counts = intersection_counts(P, Q, np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))
+    assert counts.tolist() == expected
+
+
 def assert_diagonal(P, Q):
     nodes = np.arange(len(P.indptr) - 1)
     counts = row_intersections(P, Q)
@@ -176,7 +215,7 @@ def assert_diagonal(P, Q):
 def test_row_intersections_match_intersection_counts_on_corpus():
     for g in metric_corpus():
         views = [g.view(name) for name in g.layer_names]
-        matrices = [m for v in views for m in (v.out, v.inn, v.und)]
+        matrices = [m for v in views for m in (v.out, v.inn, undirected(v))]
         for P in matrices:
             for Q in matrices:
                 assert_diagonal(P, Q)
