@@ -226,17 +226,22 @@ def _attribute_chunks(
     """The node and token columns of an attribute file, ``_ROWS`` rows at a time.
 
     Yields each chunk's columns with the line of its first row.
-    Bucketed values are replaced by their label.  The first bad row
-    raises, whether its format or its bucketed value is at fault.
+    Bucketed values are replaced by their label.  A key may not hold
+    ``:``, which ends the key in a token (``a:b`` + ``c`` and ``a`` +
+    ``b:c`` would both read ``a:b:c``).  The first bad row raises,
+    whether its format, its key or its bucketed value is at fault.
     """
     lines = iter(stream)
     for (nodes, keys, values), first in _read_columns(lines, ATTRIBUTE_HEADER, delimiter, "attribute"):
-        for k in [k for k, key in enumerate(keys) if key in buckets]:
-            try:
+        bad = min(map(keys.index, [key for key in set(keys) if ":" in key]), default=len(keys))
+        try:
+            for k in [k for k, key in enumerate(keys) if key in buckets and k < bad]:
                 values[k] = _bucket_label(buckets[keys[k]], keys[k], values[k], first + k)
-            except ParseError:
-                _drain(lines)
-                raise
+            if bad < len(keys):
+                raise MalformedLine(f"key '{keys[bad]}' must not contain ':'", first + bad)
+        except ParseError:
+            _drain(lines)
+            raise
         yield nodes, list(map("{}:{}".format, keys, values)), first
 
 
@@ -270,6 +275,8 @@ def _layer_spec_from_dict(doc: dict) -> LayerSpec:
 
 
 def _bucket_rules_from_list(key: str, entries) -> tuple[BucketRule, ...]:
+    if ":" in key:
+        raise InvalidParameter(f"bucket key '{key}' must not contain ':'")
     if not isinstance(entries, list) or not entries:
         raise InvalidParameter(f"bucket rules for '{key}' must be a non-empty list")
     rules = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from importlib import resources
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -317,12 +318,17 @@ def _display_width(cell: str) -> int:
 
 
 def render_csv(report: dict) -> str:
-    """CSV with '#'-prefixed metadata comment lines, full-precision numbers."""
+    """CSV with '#'-prefixed metadata comment lines, full-precision numbers.
+
+    A column name or cell that holds ``,``, ``"`` or a line break, or
+    starts with ``#``, is quoted as RFC 4180 quotes it, so a node label
+    stays one field and no data row reads as a comment line.
+    """
     lines = _header_lines(report)
     columns = report["columns"]
-    lines.append(",".join(columns))
+    lines.append(",".join(map(_quote_csv, columns)))
     for row in report["rows"]:
-        lines.append(",".join(_format_cell_csv(row[c]) for c in columns))
+        lines.append(",".join(_quote_csv(_format_cell_csv(row[c])) for c in columns))
     if "baseline" in report:
         lines.append(f"# baseline={_format_cell_csv(report['baseline'])}")
     return "\n".join(lines) + "\n"
@@ -334,6 +340,13 @@ def _format_cell_csv(value) -> str:
     if isinstance(value, float) and math.isnan(value):
         return ""
     return str(value)
+
+
+_CSV_QUOTED = re.compile(r'[,"\r\n]|^#')
+
+
+def _quote_csv(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
 
 
 RENDERERS = {"json": render_json, "text": render_text, "csv": render_csv}

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotStronglyConnected
 from .graph import LayerView, MultiplexGraph, _merge
-from .kernels import CSR, _spans, intersection_counts, popcount
+from .kernels import CSR, _keys, _spans, intersection_counts, popcount
 from .metrics import layer_metrics
 
 _BLOCK = 1024  # BFS sources per block: 16 uint64 words per node
@@ -81,58 +81,46 @@ class WedgeReport:
 def strongly_connected_components(view: LayerView) -> list[frozenset[int]]:
     """Partition of the node set into maximal strongly connected components.
 
-    Iterative Tarjan; output is ordered by smallest member id, so the
-    result is deterministic and relabel-stable for a fixed id order.
+    Kosaraju's two passes (Sharir 1981): a depth-first search along
+    ``out`` lists the nodes by finish time, then, latest first, a search
+    along ``inn`` from each node not yet placed collects its component.
+    Both searches are iterative, so a long path needs no recursion.
+    Output is ordered by smallest member id, so the result is
+    deterministic and relabel-stable for a fixed id order.
     """
     n = view.n_nodes
-    successors = view.out.rows()
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[frozenset[int]] = []
-    counter = 0
-
+    successors = [iter(row) for row in view.out.rows()]  # a node is entered once, so one iterator each
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if order[root] != -1:
+        if seen[root]:
             continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        frames: list[list] = [[root, 0, successors[root]]]
-        while frames:
-            frame = frames[-1]
-            v, succ = frame[0], frame[2]
-            pushed = False
-            while frame[1] < len(succ):
-                w = succ[frame[1]]
-                frame[1] += 1
-                if order[w] == -1:
-                    order[w] = low[w] = counter
-                    counter += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for w in successors[stack[-1]]:
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-                    on_stack[w] = True
-                    frames.append([w, 0, successors[w]])
-                    pushed = True
                     break
-                if on_stack[w] and order[w] < low[v]:
-                    low[v] = order[w]
-            if pushed:
-                continue
-            frames.pop()
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-            if frames and low[v] < low[frames[-1][0]]:
-                low[frames[-1][0]] = low[v]
+            else:
+                finished.append(stack.pop())
+    del successors  # only one pass's rows are held at a time
 
+    predecessors = view.inn.rows()
+    placed = [False] * n
+    components: list[frozenset[int]] = []
+    for root in reversed(finished):
+        if placed[root]:
+            continue
+        placed[root] = True
+        component = [root]
+        for v in component:  # grows as it is walked: a breadth-first search
+            for w in predecessors[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    component.append(w)
+        components.append(frozenset(component))
     return sorted(components, key=min)
 
 
@@ -371,16 +359,14 @@ def wedge_closure(
     ``"any"`` entry counts wedges closed by at least one closing layer.
     A closing layer listed twice raises :class:`InvalidParameter`.
     """
-    out = g.view(wedge_layer).out
+    wedge_view = g.view(wedge_layer)
     names = list(closing_layers)
     views = [g.view(name) for name in names]  # an unknown layer is named before a repeated one
     for name in names:
         if names.count(name) > 1:
             raise InvalidParameter(f"closing layer '{name}' is listed more than once")
     n = g.n_nodes
-    rows, cols = out.row_ids(), out.indices.astype(np.int64)
-    wedge = CSR.from_keys(_merge(rows * n + cols, cols * n + rows), n)  # out ∪ in
-    del rows, cols
+    wedge = _undirected(wedge_view)
     degree = wedge.degrees()
     total = int((degree * (degree - 1) // 2).sum())
 
@@ -408,10 +394,21 @@ def wedge_closure(
     return WedgeReport(wedge_layer=wedge_layer, total=total, closed=closed, pct=pct)
 
 
+def _undirected(view: LayerView) -> CSR:
+    """The undirected projection (out ∪ in) of ``view``: the merged key runs of ``out`` and ``inn``."""
+    n = view.n_nodes
+    return CSR.from_keys(_merge(_keys(view.out, n)[:-1], _keys(view.inn, n)[:-1]), n)
+
+
 def _linked_pairs(view: LayerView) -> np.ndarray:
-    """Sorted keys ``a * n + b``, a < b, of node pairs tied in either direction."""
-    n, a, b = view.n_nodes, view.out.row_ids(), view.out.indices
-    return _merge(np.minimum(a, b) * n + np.maximum(a, b))
+    """Sorted keys ``a * n + b``, a < b, of node pairs tied in either direction.
+
+    They are the entries above the diagonal of ``out`` and of ``inn``:
+    two sorted runs, merged.
+    """
+    n = view.n_nodes
+    upper = [_keys(csr, n)[:-1][csr.row_ids() < csr.indices] for csr in (view.out, view.inn)]
+    return _merge(*upper)
 
 
 def layer_summary(view: LayerView) -> LayerSummary:

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels
-from tieplex.graph import _merge
-from tieplex.kernels import CSR
+from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels, structure
 
 
 # Every report verb with the arguments it requires, each layer argument
@@ -27,9 +25,7 @@ def single(edges, n):
 
 def undirected(view):
     """The undirected projection of ``view`` (out ∪ in), built as ``wedge_closure`` builds it."""
-    n = view.n_nodes
-    rows, cols = view.out.row_ids(), view.out.indices.astype(np.int64)
-    return CSR.from_keys(_merge(rows * n + cols, cols * n + rows), n)
+    return structure._undirected(view)
 
 
 def two_layer(edges_a, edges_b, n):

@@ -474,6 +474,8 @@ def _attribute_rows(
     delim = _split_header(lines, ATTRIBUTE_HEADER, delimiter, "attribute")
     for line_no, raw in lines:
         node, key, value = _split_row(raw, delim, line_no, 3)
+        if ":" in key:
+            raise MalformedLine(f"key '{key}' must not contain ':'", line_no)
         if key in buckets:
             try:
                 numeric = float(value)

@@ -183,9 +183,10 @@ def test_manifest_bad_aggregate_fails_before_any_file_read(tmp_path):
         {"attributes": ["attributes.csv"]},
         {"buckets": {"gpa": [{"label": "low", "min": "abc", "max": 7.0}]}},
         {"buckets": {"gpa": [{"label": "low", "min": 6.0, "max": None}]}},
+        {"buckets": {"g:pa": [{"label": "low", "min": 6.0, "max": 7.0}]}},
         {"layers": [{"name": "x"}, {"name": "y"}, {"name": "u", "constituents": "xy"}]},
     ],
-    ids=["layers", "pairs", "buckets", "nodes", "edges", "attributes", "bucket-min", "bucket-max", "constituents"],
+    ids=["layers", "pairs", "buckets", "nodes", "edges", "attributes", "bucket-min", "bucket-max", "bucket-key-colon", "constituents"],
 )
 def test_manifest_malformed_field_rejected(override):
     with pytest.raises(InvalidParameter):
@@ -332,7 +333,7 @@ def odd_labels(*cores):
 
 
 LABELS = odd_labels("a", "b", "x", "n 1", "7.5")
-KEYS = odd_labels("g", "gpa", "age")  # gpa and age are bucketed
+KEYS = odd_labels("g", "gpa", "age", "g:x")  # gpa and age are bucketed; a key holding ":" is refused
 VALUES = odd_labels("F", "7.5", "6", "10", "19.5", "11", "-1", "abc", "nan", "-inf", "1e400")
 BUCKETS = {
     "gpa": GPA_BUCKETS["gpa"],
@@ -554,6 +555,9 @@ BUCKET_CASES = {
     "numeric first": "a,g,F\na,gpa,x\nb,gpa,11\n\n",
     "two buckets": "a,g,F\nb,g,M\na,gpa,5\nb,gpa,11\n",
     "late bucket": "a,g,F\nb,g,M\na,gpa,8\nb,gpa,9\nb,gpa,-1\n",
+    "colon key first": "a,g,1:30\nb,g:x,F\nb,gpa,11\nb,gpa\n",
+    "bucket before colon key": "a,gpa,11\nb,g:x,F\n",
+    "format before colon key": "a,gpa\nb,g:x,F\n",
 }
 
 

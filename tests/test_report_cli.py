@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -264,6 +265,28 @@ def test_cli_wedges_single(tmp_path, capsys):
     assert by_layer == {"s": 100.0, "w": 0.0, "any": 100.0}
 
 
+@pytest.mark.parametrize("verb", [["attrs", "--layer", "L"], ["equiv", "--layer", "L"]], ids=["attrs", "equiv"])
+def test_cli_csv_cells_read_back_as_json_cells(tmp_path, capsys, verb):
+    # node labels are not split, so one may hold a comma or a quote, or open with '#'
+    (tmp_path / "nodes.txt").write_text('Smith, J\n#1\nDoe "Jo"\n', encoding="utf-8")
+    (tmp_path / "edges.tsv").write_text(
+        'source\ttarget\tlayer\nSmith, J\t#1\tL\n#1\tDoe "Jo"\tL\n', encoding="utf-8"
+    )
+    (tmp_path / "attributes.tsv").write_text("node\tkey\tvalue\nSmith, J\tg\tF\n#1\tg\tM\n", encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"nodes": "nodes.txt", "edges": "edges.tsv", "attributes": "attributes.tsv", "layers": [{"name": "L"}]}),
+        encoding="utf-8",
+    )
+    outputs = {}
+    for fmt in ("json", "csv"):
+        assert run_cli(*verb, "--manifest", str(tmp_path / "manifest.json"), "--format", fmt) == 0
+        outputs[fmt] = capsys.readouterr().out
+    doc = json.loads(outputs["json"])
+    cells = [["" if row[c] is None else str(row[c]) for c in doc["columns"]] for row in doc["rows"]]
+    body = [line for line in outputs["csv"].splitlines() if not line.startswith("#")]
+    assert list(csv.reader(body)) == [doc["columns"], *cells]
+
+
 def test_cli_cross_without_pair_list_exit_2(tiny, capsys):
     # non-stock layer names and no manifest pairs: pairs must be supplied
     code = run_cli("cross", "--manifest", str(tiny))
@@ -497,12 +520,13 @@ def test_reports_unchanged_by_shuffled_edge_rows(tmp_path_factory, hundred, seed
         ("attributes.csv", "node,key,value\na,g,F\nb, \t ,F\n", "line 3: empty field"),
         ("attributes.csv", "node,key,value\na,gpa,7.5\nb,gpa,high\n", "line 3: key 'gpa' is bucketed"),
         ("attributes.csv", "node,key,value\na,gpa,7.5\nb,gpa,12\n", "line 3: no bucket for key 'gpa'"),
+        ("attributes.csv", "node,key,value\na,a,b:c\nb,a:b,c\n", "line 3: key 'a:b' must not contain ':'"),
     ],
     ids=[
         "self-tie", "unknown-node", "aggregate-edge", "duplicate-label",
         "edges-not-utf8", "manifest-not-utf8", "manifest-field-type", "manifest-names-missing-file",
         "attribute-unknown-node", "blank-line", "short-row", "long-row", "empty-field",
-        "whitespace-field", "bucket-not-numeric", "bucket-out-of-range",
+        "whitespace-field", "bucket-not-numeric", "bucket-out-of-range", "attribute-key-colon",
     ],
 )
 def test_cli_bad_input_exit_2_names_file(tmp_path, capsys, name, content, where):

@@ -61,6 +61,20 @@ def test_scc_matches_reachability_oracle():
         assert ours == oracles.scc_partition(oracles.view_matrix(v))
 
 
+@pytest.mark.parametrize("shape", ["forward path", "backward path", "cycle"])
+def test_scc_on_a_long_path_needs_no_recursion(shape):
+    # 100,000 nodes in one chain: a recursive search would pass Python's recursion limit
+    n = 100_000
+    i = np.arange(n if shape == "cycle" else n - 1, dtype=np.int64)
+    source, target = (i + 1, i) if shape == "backward path" else (i, (i + 1) % n)
+    v = LayerView("L", n, np.sort(source * n + target))
+    comps = strongly_connected_components(v)
+    if shape == "cycle":
+        assert comps == [frozenset(range(n))]
+    else:
+        assert comps == [frozenset({k}) for k in range(n)]
+
+
 def test_path_stats(three_cycle, mutual_dyad):
     assert path_stats(three_cycle, {0, 1, 2}) == PathStats(1.5, 2)
     assert path_stats(mutual_dyad, {0, 1}) == PathStats(1.0, 1)
