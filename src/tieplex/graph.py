@@ -66,13 +66,6 @@ class EdgeColumns(Sequence[EdgeRecord]):
         k = range(len(self))[k]  # bounds check, negative indexes
         return EdgeRecord(self.sources[k], self.targets[k], self.layers[k], self.first_line + k)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"EdgeColumns({len(self)} rows from line {self.first_line})"
 
@@ -83,7 +76,9 @@ class LayerSpec:
 
     A basic layer has no constituents; an aggregate names one or more
     basic layers whose edge sets it unions.  An aggregate with a single
-    constituent is allowed (it is simply a renamed copy).
+    constituent is allowed (it is simply a renamed copy).  A name may not
+    hold ``:`` or ``,``, which separate layers in the command line's
+    ``--pairs`` and ``--closing-layers`` lists.
     """
 
     name: str
@@ -93,6 +88,8 @@ class LayerSpec:
     def __post_init__(self):
         if not self.name:
             raise InvalidParameter("layer name must be non-empty")
+        if ":" in self.name or "," in self.name:
+            raise InvalidParameter(f"layer name '{self.name}' must not contain ':' or ','")
         if not isinstance(self.constituents, (list, tuple)):
             raise InvalidParameter(f"layer '{self.name}': constituents must be a list of layer names")
         object.__setattr__(self, "constituents", tuple(self.constituents))
@@ -163,11 +160,6 @@ class LayerView:
     def undirected_neighbors(self, i: int) -> frozenset[int]:
         """Nodes adjacent to ``i`` ignoring direction."""
         return self.out_set(i) | self.in_set(i)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        succ = self._row(self.out, i)
-        self._check(j)
-        return j in succ.tolist()
 
     def edges(self) -> Iterator[Edge]:
         """All directed edges, sorted by (source, target) id."""
@@ -285,7 +277,7 @@ def _where(edge) -> str:
 def build_graph(
     nodes: Iterable[str],
     layer_specs: Iterable[LayerSpec],
-    edges: EdgeColumns | Iterable[EdgeColumns] | Iterable[EdgeRecord | tuple[str, str, str]],
+    edges: Iterable[EdgeColumns] | Iterable[EdgeRecord | tuple[str, str, str]],
 ) -> MultiplexGraph:
     """Build a multiplex graph from labels, layer declarations and edges.
 
@@ -299,14 +291,13 @@ def build_graph(
         Basic and aggregate layer declarations, checked by
         :func:`check_layers`.
     edges:
-        :class:`EdgeColumns` (as :func:`tieplex.io.parse_edges` returns
-        them), an iterable of :class:`EdgeColumns` chunks, which is
-        walked once and each chunk mapped to ids before the next is
-        drawn, or :class:`EdgeRecord` rows or plain ``(source_label,
-        target_label, basic_layer_name)`` triples, which are transposed
-        into one chunk.  Duplicates collapse to a single tie; the
-        collapse count per layer is surfaced on
-        ``duplicates_collapsed``, not raised.
+        An iterable of :class:`EdgeColumns` chunks (as
+        :func:`tieplex.io.parse_edges` yields them), walked once and
+        each chunk mapped to ids before the next is drawn, or of
+        :class:`EdgeRecord` rows or plain ``(source_label, target_label,
+        basic_layer_name)`` triples, which are transposed into one
+        chunk.  Duplicates collapse to a single tie; the collapse count
+        per layer is surfaced on ``duplicates_collapsed``, not raised.
 
     Raises
     ------
@@ -366,8 +357,6 @@ def build_graph(
 
 def _record_chunks(edges) -> Iterator[tuple[Sequence, tuple[Sequence[str], ...]]]:
     """``(records, label columns)`` of each chunk of ``edges``, in order (see :func:`build_graph`)."""
-    if isinstance(edges, EdgeColumns):
-        edges = (edges,)
     rows = iter(edges)
     first = next(rows, None)
     if isinstance(first, EdgeColumns):

@@ -16,9 +16,10 @@ edge and attribute files are read in chunks of ``_ROWS`` rows, each
 split into columns in bulk; the first row that fails a check is handed
 to the one row checker, which words every row error, and the rest of
 the file is read first, so a decoding error anywhere in it still wins.
-:func:`load_dataset` hands the edge chunks to :func:`build_graph`,
-which maps each to ids before the next is read, so no more than one
-chunk's label strings are held at a time.
+:func:`parse_edges` yields the edge chunks as :class:`EdgeColumns`, and
+:func:`load_dataset` hands them to :func:`build_graph`, which maps each
+to ids before the next is read, so no more than one chunk's label
+strings are held at a time.
 
 Each check runs once: the parsers here check file format, and
 :func:`manifest_from_dict` the manifest fields; layer declarations, node
@@ -177,18 +178,16 @@ def _drain(lines: Iterator[str]) -> None:
         pass
 
 
-def parse_edges(stream: IO[str], delimiter: str | None = None) -> EdgeColumns:
-    """Parse an edge file into records, keeping line numbers for diagnostics.
+def parse_edges(stream: IO[str], delimiter: str | None = None) -> Iterator[EdgeColumns]:
+    """Parse an edge file into :class:`EdgeColumns` chunks of at most ``_ROWS`` rows.
 
-    The records are held as label columns (:class:`EdgeColumns`); each
-    row passes the same checks, with the same messages, as
-    :func:`_split_row` gives it.
+    A generator: each row keeps its line number for diagnostics and
+    passes the same checks, with the same messages, as :func:`_split_row`
+    gives it; an error is raised when the chunks are drawn.  Every row
+    in one list: ``[r for chunk in parse_edges(fh) for r in chunk]``.
     """
-    columns: tuple[list[str], ...] = ([], [], [])
-    for chunk, _ in _read_columns(stream, EDGE_HEADER, delimiter, "edge"):
-        for column, part in zip(columns, chunk):
-            column += part
-    return EdgeColumns(*columns, first_line=2)
+    for columns, first in _read_columns(stream, EDGE_HEADER, delimiter, "edge"):
+        yield EdgeColumns(*columns, first_line=first)
 
 
 def parse_nodes(stream: IO[str]) -> list[str]:
@@ -371,11 +370,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
     """Read all files of a manifest and build the graph and attribute table.
 
-    The edge file goes to :func:`build_graph` as a generator of
-    :class:`EdgeColumns` chunks of at most ``_ROWS`` rows, each mapped
-    to ids before the next is read, so no more than one chunk's label
-    strings are held at a time.  Edge records carry their lines into
-    :func:`build_graph`, which checks them.
+    The edge file goes to :func:`build_graph` as the chunks of
+    :func:`parse_edges`, each mapped to ids before the next is read, so
+    no more than one chunk's label strings are held at a time.  Edge
+    records carry their lines into :func:`build_graph`, which checks
+    them.
     Given a manifest path, a data file it names that cannot be opened is
     an input error of the manifest, and the message names both files.
     """
@@ -391,9 +390,8 @@ def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
         labels = parse_nodes(fh)
     duplicate = None
     with _open_input(manifest.edges_path) as fh:
-        chunks = _read_columns(fh, EDGE_HEADER, manifest.delimiter, "edge")
         try:
-            graph = build_graph(labels, manifest.layers, (EdgeColumns(*c, first_line=k) for c, k in chunks))
+            graph = build_graph(labels, manifest.layers, parse_edges(fh, manifest.delimiter))
         except DuplicateNodeLabel as exc:
             duplicate = exc  # an error of the node file, named outside this block
     if duplicate is not None:

@@ -161,7 +161,12 @@ def equivalence_report(
     return _base("equivalence", params, columns, rows)
 
 
-def wedge_report(dataset: LoadedDataset, wedge_layer: str, closing_layers: Sequence[str]) -> dict:
+def wedge_report(
+    dataset: LoadedDataset, wedge_layer: str, closing_layers: Sequence[str] | None = None
+) -> dict:
+    """Wedge closure of ``wedge_layer`` by ``closing_layers``, by default every basic layer."""
+    if closing_layers is None:
+        closing_layers = dataset.graph.basic_layer_names
     result = wedge_closure(dataset.graph, wedge_layer, closing_layers)
     columns = ["wedge_layer", "closing_layer", "closed_count", "closed_pct"]
     rows = [
@@ -235,10 +240,9 @@ REPORTS: dict[str, ReportVerb] = {
             ("--wedge-layer", {"required": True}),
             ("--closing-layers", {"help": "comma list (default: all basic layers)"}),
         ),
-        lambda ds, args: wedge_report(ds, args.wedge_layer, (
-            list(ds.graph.basic_layer_names) if args.closing_layers is None
-            else args.closing_layers.split(",")
-        )),
+        lambda ds, args: wedge_report(
+            ds, args.wedge_layer, None if args.closing_layers is None else args.closing_layers.split(",")
+        ),
     ),
     "attrs": ReportVerb(
         "attribute similarity along one layer's ties",

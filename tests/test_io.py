@@ -46,8 +46,13 @@ GPA_BUCKETS = {
 }
 
 
+def edge_rows(stream, delimiter=None):
+    """Every row of an edge file, drawn from the chunks :func:`parse_edges` yields."""
+    return [record for chunk in parse_edges(stream, delimiter) for record in chunk]
+
+
 def test_parse_edges_simple():
-    records = parse_edges(stdio.StringIO("source,target,layer\na,b,strong_off\n"))
+    records = edge_rows(stdio.StringIO("source,target,layer\na,b,strong_off\n"))
     assert len(records) == 1
     assert (records[0].source, records[0].target, records[0].layer) == ("a", "b", "strong_off")
     assert records[0].line_no == 2
@@ -56,41 +61,42 @@ def test_parse_edges_simple():
 def test_parse_edges_missing_column_reports_line():
     text = "source,target,layer\n" + "a,b,x\n" * 3 + "a,b\n"
     with pytest.raises(MalformedLine) as err:
-        parse_edges(stdio.StringIO(text))
+        edge_rows(stdio.StringIO(text))
     assert err.value.line_no == 5
 
 
 def test_parse_edges_crlf_equals_lf():
-    lf = parse_edges(stdio.StringIO("source,target,layer\na,b,x\nb,c,x\n"))
-    crlf = parse_edges(stdio.StringIO("source,target,layer\r\na,b,x\r\nb,c,x\r\n"))
+    lf = edge_rows(stdio.StringIO("source,target,layer\na,b,x\nb,c,x\n"))
+    crlf = edge_rows(stdio.StringIO("source,target,layer\r\na,b,x\r\nb,c,x\r\n"))
     assert lf == crlf
 
 
 def test_parse_edges_header_required():
+    chunks = parse_edges(stdio.StringIO("a,b,x\n"))  # raised when the chunks are drawn
     with pytest.raises(MissingHeader):
-        parse_edges(stdio.StringIO("a,b,x\n"))
+        next(chunks)
     with pytest.raises(MissingHeader):
-        parse_edges(stdio.StringIO(""))
+        edge_rows(stdio.StringIO(""))
 
 
 def test_parse_edges_empty_field():
     with pytest.raises(EmptyField) as err:
-        parse_edges(stdio.StringIO("source,target,layer\na,,x\n"))
+        edge_rows(stdio.StringIO("source,target,layer\na,,x\n"))
     assert err.value.line_no == 2
 
 
 def test_parse_edges_blank_line_rejected():
     with pytest.raises(MalformedLine):
-        parse_edges(stdio.StringIO("source,target,layer\na,b,x\n\nc,d,x\n"))
+        edge_rows(stdio.StringIO("source,target,layer\na,b,x\n\nc,d,x\n"))
 
 
 def test_parse_edges_tab_autodetected():
-    records = parse_edges(stdio.StringIO("source\ttarget\tlayer\na\tb\tx\n"))
+    records = edge_rows(stdio.StringIO("source\ttarget\tlayer\na\tb\tx\n"))
     assert records[0].source == "a"
 
 
 def test_parse_edges_whitespace_trimmed():
-    records = parse_edges(stdio.StringIO("source,target,layer\n a , b , x \n"))
+    records = edge_rows(stdio.StringIO("source,target,layer\n a , b , x \n"))
     assert (records[0].source, records[0].target, records[0].layer) == ("a", "b", "x")
 
 
@@ -185,8 +191,10 @@ def test_manifest_bad_aggregate_fails_before_any_file_read(tmp_path):
         {"buckets": {"gpa": [{"label": "low", "min": 6.0, "max": None}]}},
         {"buckets": {"g:pa": [{"label": "low", "min": 6.0, "max": 7.0}]}},
         {"layers": [{"name": "x"}, {"name": "y"}, {"name": "u", "constituents": "xy"}]},
+        {"layers": [{"name": "x:y"}]},
+        {"layers": [{"name": "x,y"}]},
     ],
-    ids=["layers", "pairs", "buckets", "nodes", "edges", "attributes", "bucket-min", "bucket-max", "bucket-key-colon", "constituents"],
+    ids=["layers", "pairs", "buckets", "nodes", "edges", "attributes", "bucket-min", "bucket-max", "bucket-key-colon", "constituents", "layer-colon", "layer-comma"],
 )
 def test_manifest_malformed_field_rejected(override):
     with pytest.raises(InvalidParameter):
@@ -381,7 +389,7 @@ CHUNK_ROWS = st.sampled_from([tieplex.io._ROWS, 1, 2, 3])
 def test_parse_edges_equals_line_parser(case, rows):
     text, pinned, newline = case
     with mock.patch.object(tieplex.io, "_ROWS", rows):
-        got = outcome(lambda: parse_edges(stdio.StringIO(text, newline=newline), delimiter=pinned))
+        got = outcome(lambda: edge_rows(stdio.StringIO(text, newline=newline), delimiter=pinned))
     want = outcome(lambda: oracles.parse_edges(stdio.StringIO(text, newline=newline), delimiter=pinned))
     if isinstance(want, list):
         assert [tuple(r) for r in got] == [tuple(r) for r in want]
@@ -410,9 +418,9 @@ def test_parse_attributes_equals_line_parser(case, rows):
 
 
 def test_edge_columns_behave_as_records():
-    records = parse_edges(stdio.StringIO("source,target,layer\na,b,x\nb,c,y\nc,a,x\n"))
-    listed = oracles.parse_edges(stdio.StringIO("source,target,layer\na,b,x\nb,c,y\nc,a,x\n"))
-    assert records == listed and listed == records
+    text = "source,target,layer\na,b,x\nb,c,y\nc,a,x\n"
+    (records,) = parse_edges(stdio.StringIO(text))
+    listed = oracles.parse_edges(stdio.StringIO(text))
     assert records[-1] == listed[-1]
     assert records[0].line_no == 2 and records[-1].line_no == 4
     assert list(reversed(records)) == listed[::-1]
@@ -529,7 +537,7 @@ BOUNDARY_TEXTS = {
 @pytest.mark.parametrize("text", BOUNDARY_TEXTS.values(), ids=BOUNDARY_TEXTS.keys())
 @pytest.mark.parametrize("newline", ["\n", None])
 def test_chunk_boundaries_read_as_lines(chunk_rows, text, newline):
-    got = outcome(lambda: parse_edges(stdio.StringIO(text, newline=newline)))
+    got = outcome(lambda: edge_rows(stdio.StringIO(text, newline=newline)))
     want = outcome(lambda: oracles.parse_edges(stdio.StringIO(text, newline=newline)))
     if isinstance(want, list):
         assert [(*r,) for r in got] == [(*r,) for r in want]

@@ -5,6 +5,10 @@
 is above the dense limit of 512 nodes, so every count here comes from
 the sorted-key probe.  ``probe_digests.json`` holds the sha256 of each
 command's stdout, keyed by its arguments.
+
+``ingest_digests.json`` pins what the command line makes of small edge
+files, readable and malformed: the sha256 of stdout, stderr and the
+exit code, keyed by the case and the arguments.
 """
 
 import hashlib
@@ -36,3 +40,82 @@ def test_probe_report_bytes_unchanged(command, manifest, capsys):
     assert main([*command.split(), "--manifest", str(manifest)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PROBE_DIGESTS[command]
+
+
+# Edge-file cases for the ingestion digests.  Each dataset has the nodes
+# a, b, c, d and the layers x, y and u = x + y; the 3,000-row cases cross
+# the reader's 1,024-row chunk boundary.
+INGEST_DIGESTS = json.loads(Path(__file__).with_name("ingest_digests.json").read_text(encoding="utf-8"))
+INGEST_MANIFEST = {
+    "nodes": "nodes.txt",
+    "edges": "edges.csv",
+    "layers": [
+        {"name": "x", "kind": "basic"},
+        {"name": "y", "kind": "basic"},
+        {"name": "u", "kind": "aggregate", "constituents": ["x", "y"]},
+    ],
+}
+NODE_FILE = b"a\nb\nc\nd\n"
+HEADER = b"source,target,layer\n"
+ROWS = [b"a,b,x", b"b,c,x", b"c,a,y", b"a,c,y", b"b,d,y", b"d,a,x"]
+GOOD = HEADER + b"".join(row + b"\n" for row in ROWS)
+REPEATED = HEADER + b"".join(row + b"\n" for row in ROWS * 500)  # 3,000 rows
+INGEST_CASES = {
+    "crlf": (NODE_FILE.replace(b"\n", b"\r\n"), GOOD.replace(b"\n", b"\r\n")),
+    "bom": (b"\xef\xbb\xbf" + NODE_FILE, b"\xef\xbb\xbf" + GOOD),
+    "tab": (NODE_FILE, GOOD.replace(b",", b"\t").rstrip(b"\n")),
+    "repeated": (NODE_FILE, REPEATED),
+    "no header": (NODE_FILE, GOOD[len(HEADER):]),
+    "empty file": (NODE_FILE, b""),
+    "empty field": (NODE_FILE, HEADER + b"a,b,x\na,,x\n"),
+    "blank line": (NODE_FILE, HEADER + b"a,b,x\n\nb,c,x\n"),
+    "blank tab row": (NODE_FILE, b"source\ttarget\tlayer\na\tb\tx\n\t\t\nb\tc\tx\n"),
+    "whitespace line": (NODE_FILE, HEADER + b"a,b,x\n   \nb,c,x\n"),
+    "short row at 3002": (NODE_FILE, REPEATED + b"a,b\n"),
+    "unknown node at 3002": (NODE_FILE, REPEATED + b"a,zzz,x\n"),
+    "aggregate edge": (NODE_FILE, HEADER + b"a,b,x\nb,c,u\n"),
+    "unknown layer": (NODE_FILE, HEADER + b"a,b,x\nb,c,nope\n"),
+    "self-tie": (NODE_FILE, HEADER + b"a,b,x\nc,c,y\n"),
+    "duplicate label, bad row": (NODE_FILE + b"a\n", GOOD + b"a,b\n"),
+    "duplicate label": (NODE_FILE + b"a\n", GOOD),
+    "bad row, then bad UTF-8": (NODE_FILE, HEADER + b"a,b\n" + b"a,b,x\n" * 4000 + b"a,\xff,x\n"),
+}
+READABLE = ("crlf", "bom", "tab", "repeated")
+INGEST_VERBS = ("endogenous", "wedges --wedge-layer u", "summary")
+
+
+def ingest_argvs():
+    """``(case, arguments)`` of each digest: every verb and format on a readable case, one on the rest."""
+    for case in INGEST_CASES:
+        if case in READABLE:
+            for verb in INGEST_VERBS:
+                for fmt in ("text", "json", "csv"):
+                    yield case, f"{verb} --format {fmt}"
+        else:
+            yield case, "endogenous --format csv"
+
+
+@pytest.fixture(scope="module")
+def ingest_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ingest")
+    for k, (nodes, edges) in enumerate(INGEST_CASES.values()):
+        case = root / f"case{k}"
+        case.mkdir()
+        (case / "nodes.txt").write_bytes(nodes)
+        (case / "edges.csv").write_bytes(edges)
+        (case / "manifest.json").write_text(json.dumps(INGEST_MANIFEST), encoding="utf-8")
+    return root
+
+
+def ingest_digest(root, case, args, capsys):
+    """sha256 of stdout, stderr (the dataset root replaced by ``<root>``) and the exit code."""
+    manifest = root / f"case{list(INGEST_CASES).index(case)}" / "manifest.json"
+    code = main([*args.split(), "--manifest", str(manifest)])
+    captured = capsys.readouterr()
+    err = captured.err.replace(str(root), "<root>")
+    return hashlib.sha256(f"{captured.out}\0{err}\0{code}".encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case, args", list(ingest_argvs()))
+def test_ingest_outcome_unchanged(case, args, ingest_root, capsys):
+    assert ingest_digest(ingest_root, case, args, capsys) == INGEST_DIGESTS[f"{case}: {args}"]

@@ -327,6 +327,25 @@ def test_cli_empty_list_value_exit_2(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["x:y", "x,y"])
+def test_cli_layer_name_the_lists_cannot_name_exit_2(tmp_path, capsys, name):
+    # --pairs and --closing-layers split on ':' and ',', so no layer may hold them
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"nodes": "nodes.txt", "edges": "edges.csv", "layers": [{"name": name}]}), encoding="utf-8"
+    )
+    for verb in (["validate"], ["endogenous"]):
+        assert run_cli(*verb, "--manifest", str(manifest)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {manifest}: layer name '{name}' must not contain ':' or ','\n"
+        assert captured.out == ""
+
+
+def test_wedge_report_defaults_to_every_basic_layer(demo, capsys):
+    assert run_cli("wedges", "--manifest", str(DATA / "manifest.json"), "--wedge-layer", "all", "--format", "json") == 0
+    assert render_json(wedge_report(demo, "all")) == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, name", [("--dout", "out_degree"), ("--din", "in_degree")])
 def test_cli_equiv_negative_degree_exit_2(capsys, flag, name):
     assert run_cli("equiv", "--manifest", str(DATA / "manifest.json"), "--layer", "all", flag, "-1") == 2
