@@ -10,12 +10,14 @@ File formats (all UTF-8, LF or CRLF):
   rules; unknown fields are rejected
 
 Parsers reject rather than repair: a bad line raises with its line
-number instead of being dropped.  Comma is the default delimiter; a tab
-in the header line switches to tab unless the manifest pins one.  The
-edge and attribute files are read in chunks of ``_ROWS`` rows, each
-split into columns in bulk; the first row that fails a check is handed
-to the one row checker, which words every row error, and the rest of
-the file is read first, so a decoding error anywhere in it still wins.
+number instead of being dropped, and what follows its chunk is left
+unread.  Comma is the default delimiter; a tab in the header line
+switches to tab unless the manifest pins one.  The edge and attribute
+files are read in chunks of ``_ROWS`` rows, each split into columns in
+bulk; the first row that fails a check is handed to the one row checker,
+which words every row error.  :func:`load_dataset` opens every file
+through :func:`_open_input`, which reads a failed file to its end, so a
+decoding error anywhere in it is reported first.
 :func:`parse_edges` yields the edge chunks as :class:`EdgeColumns`, and
 :func:`load_dataset` hands them to :func:`build_graph`, which maps each
 to ids before the next is read, so no more than one chunk's label
@@ -104,11 +106,6 @@ class LoadedDataset:
     manifest: DatasetManifest
 
 
-def _lines(stream: IO[str]) -> Iterable[tuple[int, str]]:
-    for line_no, raw in enumerate(stream, start=1):
-        yield line_no, raw.rstrip("\n").rstrip("\r")
-
-
 def _split_header(raw: str, expected: tuple[str, ...], delimiter: str | None, what: str) -> str:
     raw = raw.rstrip("\r").lstrip("\ufeff")
     delim = delimiter or ("\t" if "\t" in raw else ",")
@@ -139,8 +136,7 @@ def _read_columns(
 
     Yields each chunk's columns with the line of its first row.  The
     chunks stop before the first row :func:`_split_row` rejects, and that
-    row's error is raised once the rest of the file has been read, so
-    that a decoding error anywhere in the file is reported first.
+    row's error is raised as soon as its chunk has been read.
     """
     # file iteration splits on "\n" alone; str.splitlines would also split on "\x0b", "\u2028", ...
     lines = iter(stream)
@@ -167,15 +163,8 @@ def _read_columns(
         if good:
             yield [cells[j::width] for j in range(width)], first
         if bad is not None:
-            _drain(lines)
             _split_row(bad.rstrip("\n"), delim, first + good, width)  # raises
         first += good
-
-
-def _drain(lines: Iterator[str]) -> None:
-    """Read the rest of a file, so that a decoding error in it is raised before a row error."""
-    for _ in lines:
-        pass
 
 
 def parse_edges(stream: IO[str], delimiter: str | None = None) -> Iterator[EdgeColumns]:
@@ -183,21 +172,21 @@ def parse_edges(stream: IO[str], delimiter: str | None = None) -> Iterator[EdgeC
 
     A generator: each row keeps its line number for diagnostics and
     passes the same checks, with the same messages, as :func:`_split_row`
-    gives it; an error is raised when the chunks are drawn.  Every row
-    in one list: ``[r for chunk in parse_edges(fh) for r in chunk]``.
+    gives it; an error is raised when the chunks are drawn, and the rows
+    after the failing chunk are left unread.  Every row in one list:
+    ``[r for chunk in parse_edges(fh) for r in chunk]``.
     """
     for columns, first in _read_columns(stream, EDGE_HEADER, delimiter, "edge"):
         yield EdgeColumns(*columns, first_line=first)
 
 
 def parse_nodes(stream: IO[str]) -> list[str]:
-    """Parse a node file: one label per line."""
+    """Parse a node file: one label per line; a blank line raises and the rest is left unread."""
     labels = []
-    for line_no, raw in _lines(stream):
-        # a byte order mark can only open the file
+    for line_no, raw in enumerate(stream, start=1):
+        # a byte order mark can only open the file; stripping drops the line end
         label = (raw.lstrip("\ufeff") if line_no == 1 else raw).strip()
         if label == "":
-            _drain(stream)
             raise MalformedLine("blank line in node file", line_no)
         labels.append(label)
     return labels
@@ -230,17 +219,12 @@ def _attribute_chunks(
     ``b:c`` would both read ``a:b:c``).  The first bad row raises,
     whether its format, its key or its bucketed value is at fault.
     """
-    lines = iter(stream)
-    for (nodes, keys, values), first in _read_columns(lines, ATTRIBUTE_HEADER, delimiter, "attribute"):
+    for (nodes, keys, values), first in _read_columns(stream, ATTRIBUTE_HEADER, delimiter, "attribute"):
         bad = min(map(keys.index, [key for key in set(keys) if ":" in key]), default=len(keys))
-        try:
-            for k in [k for k, key in enumerate(keys) if key in buckets and k < bad]:
-                values[k] = _bucket_label(buckets[keys[k]], keys[k], values[k], first + k)
-            if bad < len(keys):
-                raise MalformedLine(f"key '{keys[bad]}' must not contain ':'", first + bad)
-        except ParseError:
-            _drain(lines)
-            raise
+        for k in [k for k, key in enumerate(keys) if key in buckets and k < bad]:
+            values[k] = _bucket_label(buckets[keys[k]], keys[k], values[k], first + k)
+        if bad < len(keys):
+            raise MalformedLine(f"key '{keys[bad]}' must not contain ':'", first + bad)
         yield nodes, list(map("{}:{}".format, keys, values)), first
 
 
@@ -255,6 +239,7 @@ def parse_attributes(
     replaced by their bucket label; any other value is kept verbatim.
     Duplicate rows collapse via set semantics.  The table keeps the
     line of each node's first row (:meth:`AttributeTable.first_line`).
+    The first bad row raises; the rows after its chunk are left unread.
     """
     return AttributeTable.from_rows(_attribute_chunks(stream, buckets or {}, delimiter))
 
@@ -346,10 +331,18 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> DatasetManifest
 
 @contextmanager
 def _open_input(path: Path) -> Iterator[IO[str]]:
-    """Open ``path`` as UTF-8 text; an input error raised in the block names the file."""
+    """Open ``path`` as UTF-8 text; an input error raised in the block names the file.
+
+    After an input error the rest of the file is read, so a decoding error in it wins.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield fh
+            try:
+                yield fh
+            except TieplexError:
+                for _ in fh:
+                    pass
+                raise
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     except TieplexError as exc:

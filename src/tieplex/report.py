@@ -145,17 +145,27 @@ def equivalence_report(
     out_degree: int | None = None,
     in_degree: int | None = None,
 ) -> dict:
+    """Structural equivalence classes of ``layer``, each listing its member labels joined by ``;``.
+
+    Raises :class:`InvalidParameter` if a member label holds ``;``,
+    which would read as two members.
+    """
     g = dataset.graph
     classes = structural_equivalence(
         g.view(layer), tolerance=tolerance, out_degree=out_degree, in_degree=in_degree
     )
+    members = [[g.node_label(m) for m in c.members] for c in classes]
+    ambiguous = next((label for labels in members for label in labels if ";" in label), None)
+    if ambiguous is not None:
+        raise InvalidParameter(
+            f"node label '{ambiguous}' must not contain ';', which separates the members of an equivalence class"
+        )
     columns = ["class", "size", "members", "reciprocity", "cycle_closure", "triplet_closure"]
     rows = [
         dict(zip(columns, (
-            idx, len(c.members), ";".join(g.node_label(m) for m in c.members),
-            c.reciprocity, c.cycle_closure, c.triplet_closure,
+            idx, len(labels), ";".join(labels), c.reciprocity, c.cycle_closure, c.triplet_closure,
         )))
-        for idx, c in enumerate(classes)
+        for idx, (c, labels) in enumerate(zip(classes, members))
     ]
     params = {"layer": layer, "tolerance": tolerance, "out_degree": out_degree, "in_degree": in_degree}
     return _base("equivalence", params, columns, rows)

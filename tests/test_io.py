@@ -458,6 +458,31 @@ def chunk_rows(request, monkeypatch):
     return request.param
 
 
+# Each public parser on a bad third row followed by more rows: the
+# header, the rows and the error the bad row raises.
+BAD_ROW_CASES = {
+    "blank node line": (parse_nodes, "", ["a", "b", "", "c", "d", "e", "f"], MalformedLine),
+    "short edge row": (edge_rows, "source,target,layer\n", ["a,b,x", "b,a,x", "a,b", *["b,a,y"] * 4], MalformedLine),
+    "bucket miss": (
+        lambda stream: parse_attributes(stream, GPA_BUCKETS),
+        "node,key,value\n", ["a,gpa,7", "b,gpa,9.5", "a,gpa,11", *["b,club,go"] * 4], UnknownBucketKey,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROW_CASES.values(), ids=BAD_ROW_CASES.keys())
+def test_parsers_stop_at_the_bad_row(chunk_rows, case):
+    parse, header, rows, error = case
+    stream = stdio.StringIO(header + "".join(f"{row}\n" for row in rows))
+    with pytest.raises(error) as err:
+        parse(stream)
+    assert err.value.line_no == (4 if header else 3)
+    # the rest of the caller's stream is left unread: all after the bad
+    # row's chunk, or after the bad line of a node file
+    chunk = chunk_rows if header else 1
+    assert stream.read() == "".join(f"{row}\n" for row in rows[(2 // chunk + 1) * chunk:])
+
+
 EARLY_EDGE_ERRORS = {
     "unknown node": "a,zzz,x",
     "unknown layer": "a,b,nope",

@@ -6,9 +6,9 @@ is above the dense limit of 512 nodes, so every count here comes from
 the sorted-key probe.  ``probe_digests.json`` holds the sha256 of each
 command's stdout, keyed by its arguments.
 
-``ingest_digests.json`` pins what the command line makes of small edge
-files, readable and malformed: the sha256 of stdout, stderr and the
-exit code, keyed by the case and the arguments.
+``ingest_digests.json`` pins what the command line makes of small edge,
+node and attribute files, readable and malformed: the sha256 of stdout,
+stderr and the exit code, keyed by the case and the arguments.
 """
 
 import hashlib
@@ -83,6 +83,44 @@ INGEST_CASES = {
 READABLE = ("crlf", "bom", "tab", "repeated")
 INGEST_VERBS = ("endogenous", "wedges --wedge-layer u", "summary")
 
+# Node- and attribute-file cases, read with the edge file GOOD and an
+# attribute file whose key gpa is bucketed; the "bad UTF-8" cases put
+# the undecodable byte past the first block the text layer decodes.
+ATTRIBUTE_MANIFEST = {
+    **INGEST_MANIFEST,
+    "attributes": "attributes.csv",
+    "buckets": {"gpa": [{"label": "low", "min": 0, "max": 5}, {"label": "high", "min": 5, "max": 10}]},
+}
+ATTRIBUTES = b"node,key,value\na,gpa,7\nb,gpa,3\nc,club,chess\nd,gpa,10\nd,club,go\na,club,go\n"
+ATTRIBUTE_CASES = {
+    "nodes crlf": (NODE_FILE.replace(b"\n", b"\r\n"), ATTRIBUTES),
+    "nodes bom": (b"\xef\xbb\xbf" + NODE_FILE, ATTRIBUTES),
+    "attributes crlf": (NODE_FILE, ATTRIBUTES.replace(b"\n", b"\r\n")),
+    "attributes bom": (NODE_FILE, b"\xef\xbb\xbf" + ATTRIBUTES),
+    "nodes blank line": (b"a\nb\n\nc\nd\n", ATTRIBUTES),
+    "nodes blank line, then bad UTF-8": (
+        NODE_FILE + b"\n" + b"".join(b"n%d\n" % k for k in range(4000)) + b"\xff\n", ATTRIBUTES
+    ),
+    "nodes duplicate label": (NODE_FILE + b"b\n", ATTRIBUTES),
+    "attributes bucket miss": (NODE_FILE, ATTRIBUTES + b"a,gpa,11\n"),
+    "attributes non-numeric bucketed value": (NODE_FILE, ATTRIBUTES + b"a,gpa,abc\n"),
+    "attributes short row": (NODE_FILE, ATTRIBUTES + b"a,gpa\n"),
+    "attributes key with colon": (NODE_FILE, ATTRIBUTES + b"a,x:y,1\n"),
+    "attributes unknown node": (NODE_FILE, ATTRIBUTES + b"zzz,club,go\n"),
+    "attributes bad row, then bad UTF-8": (
+        NODE_FILE, ATTRIBUTES + b"a,gpa\n" + b"b,club,go\n" * 4000 + b"b,club,\xff\n"
+    ),
+}
+ATTRIBUTE_READABLE = ("nodes crlf", "nodes bom", "attributes crlf", "attributes bom")
+
+# Every case: its manifest and its files.
+CASE_FILES = {
+    **{case: (INGEST_MANIFEST, {"nodes.txt": nodes, "edges.csv": edges})
+       for case, (nodes, edges) in INGEST_CASES.items()},
+    **{case: (ATTRIBUTE_MANIFEST, {"nodes.txt": nodes, "edges.csv": GOOD, "attributes.csv": attributes})
+       for case, (nodes, attributes) in ATTRIBUTE_CASES.items()},
+}
+
 
 def ingest_argvs():
     """``(case, arguments)`` of each digest: every verb and format on a readable case, one on the rest."""
@@ -93,23 +131,26 @@ def ingest_argvs():
                     yield case, f"{verb} --format {fmt}"
         else:
             yield case, "endogenous --format csv"
+    for case in ATTRIBUTE_CASES:
+        for fmt in ("text", "json", "csv") if case in ATTRIBUTE_READABLE else ("csv",):
+            yield case, f"attrs --layer u --format {fmt}"
 
 
 @pytest.fixture(scope="module")
 def ingest_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("ingest")
-    for k, (nodes, edges) in enumerate(INGEST_CASES.values()):
+    for k, (doc, files) in enumerate(CASE_FILES.values()):
         case = root / f"case{k}"
         case.mkdir()
-        (case / "nodes.txt").write_bytes(nodes)
-        (case / "edges.csv").write_bytes(edges)
-        (case / "manifest.json").write_text(json.dumps(INGEST_MANIFEST), encoding="utf-8")
+        for name, data in files.items():
+            (case / name).write_bytes(data)
+        (case / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
     return root
 
 
 def ingest_digest(root, case, args, capsys):
     """sha256 of stdout, stderr (the dataset root replaced by ``<root>``) and the exit code."""
-    manifest = root / f"case{list(INGEST_CASES).index(case)}" / "manifest.json"
+    manifest = root / f"case{list(CASE_FILES).index(case)}" / "manifest.json"
     code = main([*args.split(), "--manifest", str(manifest)])
     captured = capsys.readouterr()
     err = captured.err.replace(str(root), "<root>")

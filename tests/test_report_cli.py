@@ -245,6 +245,24 @@ def test_cli_equiv_mutual_dyad(tmp_path, capsys):
     assert doc["rows"][0]["members"] == "a;b"
 
 
+def test_cli_equiv_member_label_holding_the_separator_exit_2(tmp_path, capsys):
+    # members are joined with ';', so a label holding one would read as two members
+    (tmp_path / "nodes.txt").write_text("a;b\nc\nd\n", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("source,target,layer\na;b,c,x\nc,d,x\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"nodes": "nodes.txt", "edges": "edges.csv", "layers": [{"name": "x"}]}), encoding="utf-8"
+    )
+    assert run_cli("equiv", "--manifest", str(manifest), "--layer", "x", "--format", "csv") == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: node label 'a;b' must not contain ';', which separates the members of an equivalence class\n"
+    )
+    assert captured.out == ""
+    # the other verbs still read the label
+    assert run_cli("endogenous", "--manifest", str(manifest)) == 0
+
+
 def test_cli_wedges_single(tmp_path, capsys):
     (tmp_path / "nodes.txt").write_text("a\nb\nc\n", encoding="utf-8")
     (tmp_path / "edges.csv").write_text(
