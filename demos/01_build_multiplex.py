@@ -46,10 +46,11 @@ print()
 
 view = g.view("all")
 print("adjacency in the 'all' layer:")
+successors, predecessors = view.out.rows(), view.inn.rows()
 for label in students:
     i = g.node_id(label)
-    succ = sorted(g.node_label(j) for j in view.out_set(i))
-    pred = sorted(g.node_label(j) for j in view.in_set(i))
+    succ = sorted(g.node_label(j) for j in successors[i])
+    pred = sorted(g.node_label(j) for j in predecessors[i])
     print(f"  {label:6s} names {succ or '-'}   named by {pred or '-'}")
 print()
 

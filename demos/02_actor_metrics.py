@@ -6,31 +6,20 @@ directed 3-cycle, the transitive triplet and the mutual dyad make the
 values easy to verify by hand.
 """
 
-from tieplex import (
-    LayerSpec,
-    build_graph,
-    cycle_closure,
-    jaccard,
-    layer_metrics,
-    reciprocated_count,
-    reciprocity,
-    three_cycle_count,
-    triplet_closure,
-    triplet_count,
-)
+from tieplex import LayerSpec, build_graph, jaccard, layer_metrics
 
 
 def show(view, title):
     print(title)
     print(f"  {'node':4s} {'dout':>4s} {'din':>4s} {'rec':>4s} {'recip':>6s} {'cyc':>4s} {'cyclo':>6s} {'plt':>4s} {'trilo':>6s}")
-    for i in range(view.n_nodes):
-        print(
-            f"  {i:<4d} {view.out_degree(i):>4d} {view.in_degree(i):>4d}"
-            f" {reciprocated_count(view, i):>4d} {reciprocity(view, i):>6.3f}"
-            f" {three_cycle_count(view, i):>4d} {cycle_closure(view, i):>6.3f}"
-            f" {triplet_count(view, i):>4d} {triplet_closure(view, i):>6.3f}"
-        )
     lm = layer_metrics(view)
+    for a in lm.actors:
+        print(
+            f"  {a.node:<4d} {a.out_degree:>4d} {a.in_degree:>4d}"
+            f" {a.reciprocated:>4d} {a.reciprocity:>6.3f}"
+            f" {a.three_cycles:>4d} {a.cycle_closure:>6.3f}"
+            f" {a.triplets:>4d} {a.triplet_closure:>6.3f}"
+        )
     print(f"  layer averages: reciprocity={lm.avg_reciprocity:.3f}"
           f" cycle_closure={lm.avg_cycle_closure:.3f}"
           f" triplet_closure={lm.avg_triplet_closure:.3f}")
@@ -64,4 +53,4 @@ show(dyad(), "mutual dyad 0<->1: full reciprocity, no triads")
 # triplet_closure of node 0 on the transitive triplet, by hand:
 # successors of 0 are {1, 2}; compare with out(1)={2} -> J = 1/2,
 # and with out(2)={} -> J = 0; average over out-degree 2 gives 0.25.
-print(f"hand check, triplet fixture node 0: {triplet_closure(triplet(), 0)} == 0.25")
+print(f"hand check, triplet fixture node 0: {layer_metrics(triplet()).actors[0].triplet_closure} == 0.25")

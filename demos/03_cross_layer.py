@@ -9,16 +9,10 @@ closure scores; the two overlapping indexes are symmetric.
 from tieplex import (
     LayerParams,
     LayerSpec,
-    cross_cycle_closure,
     cross_layer_averages,
-    cross_reciprocity,
-    cross_triplet_closure,
-    cycle_closure,
+    cross_layer_metrics,
     generate_synthetic,
-    overlap_in,
-    overlap_out,
-    reciprocity,
-    triplet_closure,
+    layer_metrics,
 )
 
 g, _ = generate_synthetic(
@@ -33,10 +27,12 @@ g, _ = generate_synthetic(
 
 print("one node, both pair orders (asymmetry is expected):")
 node = 10
-print(f"  r(strong, weak, {node}) = {cross_reciprocity(g, 'strong', 'weak', node):.4f}")
-print(f"  r(weak, strong, {node}) = {cross_reciprocity(g, 'weak', 'strong', node):.4f}")
-print(f"  oi_out({node})          = {overlap_out(g, 'strong', 'weak', node):.4f} (same either way)")
-print(f"  oi_in({node})           = {overlap_in(g, 'strong', 'weak', node):.4f}")
+strong_weak = cross_layer_metrics(g, "strong", "weak")  # one column per metric, entry i for node i
+weak_strong = cross_layer_metrics(g, "weak", "strong")
+print(f"  r(strong, weak, {node}) = {strong_weak.reciprocity[node]:.4f}")
+print(f"  r(weak, strong, {node}) = {weak_strong.reciprocity[node]:.4f}")
+print(f"  oi_out({node})          = {strong_weak.overlap_out[node]:.4f} (same either way)")
+print(f"  oi_in({node})           = {strong_weak.overlap_in[node]:.4f}")
 print()
 
 print("pair averages over all nodes:")
@@ -50,10 +46,9 @@ for alpha, beta in [("strong", "weak"), ("weak", "strong"), ("strong", "strong")
 print()
 
 print("alpha == beta reduces exactly to the single-layer metrics:")
-v = g.view("strong")
+pair, single = cross_layer_metrics(g, "strong", "strong"), layer_metrics(g.view("strong"))
 checks = [
-    cross_reciprocity(g, "strong", "strong", node) == reciprocity(v, node),
-    cross_cycle_closure(g, "strong", "strong", node) == cycle_closure(v, node),
-    cross_triplet_closure(g, "strong", "strong", node) == triplet_closure(v, node),
+    getattr(pair, column).tobytes() == getattr(single, column).tobytes()
+    for column in ("reciprocity", "cycle_closure", "triplet_closure")
 ]
 print(f"  bitwise equal: {all(checks)}")

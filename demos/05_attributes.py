@@ -9,8 +9,8 @@ from tieplex import (
     AttributeTable,
     LayerSpec,
     attribute_metrics,
-    attribute_similarity,
     build_graph,
+    jaccard,
     unnetworked_similarity,
 )
 
@@ -26,7 +26,7 @@ table = AttributeTable(
 
 print("pairwise attribute similarity:")
 for a in labels:
-    row = "  ".join(f"{attribute_similarity(table, a, b):.2f}" for b in labels)
+    row = "  ".join(f"{jaccard(table.tokens(a), table.tokens(b)):.2f}" for b in labels)
     print(f"  {a:6s} {row}")
 print()
 

@@ -17,7 +17,7 @@ two layers: the out variant reads as consistency of tie-making
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping, Sequence
 
@@ -25,21 +25,23 @@ import numpy as np
 
 from .graph import MultiplexGraph
 from .kernels import row_means
-from .metrics import _closure, _mean, _mean_jaccard, _node_terms, jaccard
+from .metrics import _closure, _mean, _node_terms, jaccard
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossLayerMetrics:
-    """Per-actor record for one ordered layer pair."""
+    """The five pair metrics of one ordered layer pair, one read-only float64 column each.
 
-    node: int
+    Entry ``i`` of every column belongs to node ``i``.
+    """
+
     alpha: str
     beta: str
-    reciprocity: float
-    cycle_closure: float
-    triplet_closure: float
-    overlap_out: float
-    overlap_in: float
+    reciprocity: np.ndarray = field(repr=False)
+    cycle_closure: np.ndarray = field(repr=False)
+    triplet_closure: np.ndarray = field(repr=False)
+    overlap_out: np.ndarray = field(repr=False)
+    overlap_in: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -53,76 +55,33 @@ class CrossLayerAverages:
     avg_overlap_in: float
 
 
-def cross_reciprocity(g: MultiplexGraph, alpha: str, beta: str, i: int) -> float:
-    """Jaccard similarity of i's successors in alpha with i's predecessors in beta."""
-    return jaccard(g.view(alpha).out_set(i), g.view(beta).in_set(i))
+def cross_layer_metrics(g: MultiplexGraph, alpha: str, beta: str) -> CrossLayerMetrics:
+    """The five pair metrics of every node, one kernel call each.
 
-
-def cross_cycle_closure(g: MultiplexGraph, alpha: str, beta: str, i: int) -> float:
-    """Cycle closure with the anchor out-set from alpha, walked over beta.
-
-    Averages jaccard(out_alpha(i), in_beta(h)) over beta-predecessors h
-    of i; in-degree in beta is the denominator, 0 when it vanishes.
-    """
-    va, vb = g.view(alpha), g.view(beta)
-    return _mean_jaccard(va.out_set(i), vb.in_set(i), vb.in_set)
-
-
-def cross_triplet_closure(g: MultiplexGraph, alpha: str, beta: str, i: int) -> float:
-    """Triplet closure with the anchor out-set from alpha, compared in beta.
-
-    Averages jaccard(out_alpha(i), out_beta(j)) over alpha-successors j
-    of i; out-degree in alpha is the denominator, 0 when it vanishes.
-    """
-    va, vb = g.view(alpha), g.view(beta)
-    return _mean_jaccard(va.out_set(i), va.out_set(i), vb.out_set)
-
-
-def overlap_out(g: MultiplexGraph, alpha: str, beta: str, i: int) -> float:
-    """Similarity of i's successor sets across the two layers (activity consistency)."""
-    return jaccard(g.view(alpha).out_set(i), g.view(beta).out_set(i))
-
-
-def overlap_in(g: MultiplexGraph, alpha: str, beta: str, i: int) -> float:
-    """Similarity of i's predecessor sets across the two layers (popularity consistency)."""
-    return jaccard(g.view(alpha).in_set(i), g.view(beta).in_set(i))
-
-
-def cross_layer_metrics(g: MultiplexGraph, alpha: str, beta: str, i: int) -> CrossLayerMetrics:
-    return CrossLayerMetrics(
-        node=i,
-        alpha=alpha,
-        beta=beta,
-        reciprocity=cross_reciprocity(g, alpha, beta, i),
-        cycle_closure=cross_cycle_closure(g, alpha, beta, i),
-        triplet_closure=cross_triplet_closure(g, alpha, beta, i),
-        overlap_out=overlap_out(g, alpha, beta, i),
-        overlap_in=overlap_in(g, alpha, beta, i),
-    )
-
-
-def cross_layer_table(g: MultiplexGraph, alpha: str, beta: str) -> tuple[CrossLayerMetrics, ...]:
-    """Cross-layer records for every node."""
-    return tuple(cross_layer_metrics(g, alpha, beta, i) for i in range(g.n_nodes))
-
-
-def cross_layer_averages(g: MultiplexGraph, alpha: str, beta: str) -> CrossLayerAverages:
-    """Whole-graph averages of the five pair metrics (all nodes, isolates count as 0).
-
-    Bitwise equal to averaging :func:`cross_layer_table`, the reference.
+    Reciprocity is jaccard(out_alpha(i), in_beta(i)); cycle closure
+    averages jaccard(out_alpha(i), in_beta(h)) over the beta-predecessors
+    h of i, triplet closure jaccard(out_alpha(i), out_beta(j)) over the
+    alpha-successors j; each closure is 0 with nothing to average over.
     """
     va, vb = g.view(alpha), g.view(beta)
     out_a, in_a, out_b, in_b = va.out, va.inn, vb.out, vb.inn
-    n = g.n_nodes
-    return CrossLayerAverages(
-        alpha=alpha,
-        beta=beta,
-        avg_reciprocity=_mean(_node_terms(out_a, in_b)[1], n),
-        avg_cycle_closure=_mean(_closure(out_a, in_b, in_b)[1], n),
-        avg_triplet_closure=_mean(_closure(out_a, out_a, out_b)[1], n),
-        avg_overlap_out=_mean(_node_terms(out_a, out_b)[1], n),
-        avg_overlap_in=_mean(_node_terms(in_a, in_b)[1], n),
+    columns = (
+        _node_terms(out_a, in_b)[1],
+        _closure(out_a, in_b, in_b)[1],
+        _closure(out_a, out_a, out_b)[1],
+        _node_terms(out_a, out_b)[1],
+        _node_terms(in_a, in_b)[1],
     )
+    for column in columns:
+        column.setflags(write=False)
+    return CrossLayerMetrics(alpha, beta, *columns)
+
+
+def cross_layer_averages(g: MultiplexGraph, alpha: str, beta: str) -> CrossLayerAverages:
+    """Whole-graph averages of the five columns of :func:`cross_layer_metrics` (isolates count as 0)."""
+    m = cross_layer_metrics(g, alpha, beta)
+    columns = (m.reciprocity, m.cycle_closure, m.triplet_closure, m.overlap_out, m.overlap_in)
+    return CrossLayerAverages(alpha, beta, *(_mean(column, g.n_nodes) for column in columns))
 
 
 class AttributeTable:
@@ -197,11 +156,6 @@ class AttributeMetrics:
     layer: str
     out_similarity: float
     in_similarity: float
-
-
-def attribute_similarity(table: AttributeTable, a: str, b: str) -> float:
-    """Jaccard similarity of two nodes' attribute token sets (both empty -> 0)."""
-    return jaccard(table.tokens(a), table.tokens(b))
 
 
 def _token_classes(labels: Iterable[str], table: AttributeTable) -> tuple[np.ndarray, list[frozenset[str]]]:

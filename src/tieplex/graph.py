@@ -32,8 +32,6 @@ from .errors import (
 )
 from .kernels import CSR
 
-Edge = tuple[int, int]
-
 
 class EdgeRecord(NamedTuple):
     """One edge-file row: an edge triple plus the line it came from."""
@@ -143,32 +141,11 @@ class LayerView:
         self._check(i)
         return csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
 
-    def out_set(self, i: int) -> frozenset[int]:
-        """Successors of ``i``: the nodes ``i`` names as ties."""
-        return frozenset(self._row(self.out, i).tolist())
-
-    def in_set(self, i: int) -> frozenset[int]:
-        """Predecessors of ``i``: the nodes naming ``i`` as a tie."""
-        return frozenset(self._row(self.inn, i).tolist())
-
     def out_degree(self, i: int) -> int:
         return len(self._row(self.out, i))
 
     def in_degree(self, i: int) -> int:
         return len(self._row(self.inn, i))
-
-    def undirected_neighbors(self, i: int) -> frozenset[int]:
-        """Nodes adjacent to ``i`` ignoring direction."""
-        return self.out_set(i) | self.in_set(i)
-
-    def edges(self) -> Iterator[Edge]:
-        """All directed edges, sorted by (source, target) id."""
-        for i, succ in enumerate(self.out.rows()):
-            for j in succ:
-                yield (i, j)
-
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges())
 
 
 class MultiplexGraph:
@@ -236,22 +213,6 @@ class MultiplexGraph:
             return self._views[name]
         except KeyError:
             raise UnknownLayer(f"unknown layer '{name}'") from None
-
-    def edge_set(self, name: str) -> frozenset[Edge]:
-        return self.view(name).edge_set()
-
-    def canonical_form(self):
-        """Order-insensitive content: used for equality and round-trips."""
-        edges_by_label = {
-            name: frozenset((self._labels[i], self._labels[j]) for i, j in view.edges())
-            for name, view in self._views.items()
-        }
-        return (frozenset(self._labels), self._specs, edges_by_label)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiplexGraph):
-            return NotImplemented
-        return self.canonical_form() == other.canonical_form()
 
     def __repr__(self) -> str:
         return f"MultiplexGraph(n_nodes={self.n_nodes}, layers={list(self.layer_names)})"

@@ -1,6 +1,6 @@
-"""Deterministic dataset ingestion and canonical serialization.
+"""Deterministic dataset ingestion.
 
-File formats (all UTF-8, LF or CRLF):
+File formats (all UTF-8, LF or CRLF; a lone CR does not end a line):
 
 * node file: one label per line, isolates included
 * edge file: ``source,target,layer`` with that exact header
@@ -112,7 +112,7 @@ def _split_header(raw: str, expected: tuple[str, ...], delimiter: str | None, wh
     fields = tuple(f.strip() for f in raw.split(delim))
     if fields != expected:
         raise MissingHeader(
-            f"{what} file must start with header '{','.join(expected)}', got '{raw}'"
+            f"{what} file must start with header '{','.join(expected)}', got {raw[:80]!r}"
         )
     return delim
 
@@ -138,7 +138,8 @@ def _read_columns(
     chunks stop before the first row :func:`_split_row` rejects, and that
     row's error is raised as soon as its chunk has been read.
     """
-    # file iteration splits on "\n" alone; str.splitlines would also split on "\x0b", "\u2028", ...
+    # a stream opened with newline="\n" (as by _open_input) splits on "\n" alone,
+    # where str.splitlines would also split on "\r", "\x0b", "\u2028", ...
     lines = iter(stream)
     header = next(lines, None)
     if header is None:
@@ -333,10 +334,12 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> DatasetManifest
 def _open_input(path: Path) -> Iterator[IO[str]]:
     """Open ``path`` as UTF-8 text; an input error raised in the block names the file.
 
-    After an input error the rest of the file is read, so a decoding error in it wins.
+    Only ``"\n"`` ends a line, as in a :class:`io.StringIO` handed to the
+    parsers.  After an input error the rest of the file is read, so a
+    decoding error in it wins.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             try:
                 yield fh
             except TieplexError:
@@ -407,37 +410,3 @@ def load_dataset(manifest: DatasetManifest | str | Path) -> LoadedDataset:
         attribute_node_count=len(attributes) if attributes is not None else 0,
     )
     return LoadedDataset(graph=graph, attributes=attributes, report=report, manifest=manifest)
-
-
-def graph_to_json(graph: MultiplexGraph) -> str:
-    """Canonical JSON for a graph: sorted labels, sorted edge lists per basic layer.
-
-    Aggregates are not serialized; they are reproduced from their
-    constituents on load.  Output is byte-stable for equal graphs.
-    """
-    doc = {
-        "nodes": sorted(graph.labels),
-        "layers": [
-            {"name": s.name, "kind": s.kind, "constituents": list(s.constituents)}
-            for s in graph.specs
-        ],
-        "edges": {
-            s.name: sorted(
-                [graph.node_label(i), graph.node_label(j)] for i, j in graph.edge_set(s.name)
-            )
-            for s in graph.specs
-            if s.kind == "basic"
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def graph_from_json(text: str) -> MultiplexGraph:
-    doc = json.loads(text)
-    specs = [_layer_spec_from_dict(entry) for entry in doc["layers"]]
-    triples = [
-        (src, dst, name)
-        for name, pairs in doc["edges"].items()
-        for src, dst in pairs
-    ]
-    return build_graph(doc["nodes"], specs, triples)

@@ -13,11 +13,10 @@ explicit option of :func:`jaccard`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,23 +45,6 @@ def jaccard(
         return 1.0 if convention is JaccardConvention.PURE else 0.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
-
-
-def _mean_jaccard(
-    anchor: frozenset[int],
-    over: frozenset[int],
-    neighbor_set: Callable[[int], frozenset[int]],
-) -> float:
-    """Average of jaccard(anchor, neighbor_set(h)) for h in ``over``.
-
-    Empty ``over`` yields 0 (degenerate denominator).  fsum keeps the
-    result independent of the iteration order, so relabeling a graph
-    never perturbs metric values.
-    """
-    if not over:
-        return 0.0
-    terms = [jaccard(anchor, neighbor_set(h)) for h in sorted(over)]
-    return math.fsum(terms) / len(over)
 
 
 @dataclass(frozen=True)
@@ -127,69 +109,13 @@ class LayerMetrics:
     __hash__ = None
 
 
-def reciprocated_count(view: LayerView, i: int) -> int:
-    """Number of mutual ties of actor ``i``."""
-    return len(view.out_set(i) & view.in_set(i))
-
-
-def reciprocity(view: LayerView, i: int) -> float:
-    """Jaccard similarity of i's successor and predecessor sets.
-
-    1 means every tie is mutual, 0 means none (or no ties at all).
-    """
-    return jaccard(view.out_set(i), view.in_set(i))
-
-
-def three_cycle_count(view: LayerView, i: int) -> int:
-    """Directed three-cycles through ``i``: ordered (j, h) with i->j->h->i."""
-    preds = view.in_set(i)
-    return sum(len(view.out_set(j) & preds) for j in view.out_set(i))
-
-
-def cycle_closure(view: LayerView, i: int) -> float:
-    """Average Jaccard similarity of i's successors with each predecessor's predecessors.
-
-    Every predecessor h contributes jaccard(out(i), in(h)); the sum is
-    divided by i's in-degree.  No in-ties means 0.
-    """
-    return _mean_jaccard(view.out_set(i), view.in_set(i), view.in_set)
-
-
-def triplet_count(view: LayerView, i: int) -> int:
-    """Transitive triplets from ``i``: ordered (j, h) with i->j, j->h, i->h."""
-    succ = view.out_set(i)
-    return sum(len(view.out_set(j) & succ) for j in succ)
-
-
-def triplet_closure(view: LayerView, i: int) -> float:
-    """Average Jaccard similarity of i's successors with each successor's successors.
-
-    Every successor j contributes jaccard(out(i), out(j)); the sum is
-    divided by i's out-degree.  No out-ties means 0.
-    """
-    return _mean_jaccard(view.out_set(i), view.out_set(i), view.out_set)
-
-
-def actor_metrics(view: LayerView, i: int) -> ActorMetrics:
-    """All single-layer metrics of one actor."""
-    return ActorMetrics(
-        node=i,
-        out_degree=view.out_degree(i),
-        in_degree=view.in_degree(i),
-        reciprocated=reciprocated_count(view, i),
-        reciprocity=reciprocity(view, i),
-        three_cycles=three_cycle_count(view, i),
-        cycle_closure=cycle_closure(view, i),
-        triplets=triplet_count(view, i),
-        triplet_closure=triplet_closure(view, i),
-    )
-
-
 def layer_metrics(view: LayerView) -> LayerMetrics:
     """Actor metrics for every node of the layer, with layer averages.
 
-    Bitwise equal to :func:`actor_metrics` per node, which is the
-    reference; the counts come from one kernel call per metric.
+    Reciprocity is jaccard(out(i), in(i)); cycle closure averages
+    jaccard(out(i), in(h)) over the predecessors h of i, triplet closure
+    jaccard(out(i), out(j)) over the successors j.  Each metric is one
+    kernel call over the layer's CSRs.
     """
     out, inn = view.out, view.inn
     n = view.n_nodes
@@ -228,8 +154,9 @@ def _closure(anchor: CSR, walk: CSR, compared: CSR) -> tuple[np.ndarray, np.ndar
     """Closure counts and scores of every node i, walking h over walk[i].
 
     Returns the sum of |anchor[i] ∩ compared[h]| and the mean of
-    jaccard(anchor[i], compared[h]) per node; like :func:`_mean_jaccard`,
-    the mean is ``fsum`` of the terms over their number, 0 for none.
+    jaccard(anchor[i], compared[h]) per node; the mean is ``math.fsum``
+    of the terms over their number, 0 for none, so relabeling a graph
+    never perturbs it.
     """
     nodes = walk.row_ids()
     inter = intersection_counts(anchor, compared, nodes, walk.indices)

@@ -65,37 +65,32 @@ def node_labels(n_nodes: int) -> list[str]:
     return [f"n{i:0{width}d}" for i in range(n_nodes)]
 
 
-def _generate(
-    rng: random.Random,
-    n_nodes: int,
-    layers: Sequence[LayerParams],
-    aggregates: Sequence[LayerSpec],
-    attributes: Mapping[str, Sequence[str]] | None,
-) -> tuple[MultiplexGraph, AttributeTable]:
-    labels = node_labels(n_nodes)
-    edges = []
-    for lp in layers:
-        for i in range(n_nodes):
-            for j in range(i + 1, n_nodes):
-                forward = rng.random() < lp.edge_probability
-                backward = rng.random() < lp.edge_probability
-                if rng.random() < lp.mutuality_bias:
-                    backward = forward
-                if forward:
-                    edges.append((labels[i], labels[j], lp.name))
-                if backward:
-                    edges.append((labels[j], labels[i], lp.name))
-    specs = [LayerSpec.basic(lp.name) for lp in layers] + list(aggregates)
-    graph = build_graph(labels, specs, edges)
+def _layer_ties(rng: random.Random, n_nodes: int, lp: LayerParams) -> list[tuple[int, int]]:
+    """The ties ``(i, j)`` of one layer drawn by the fixed scheme, sorted."""
+    ties = []
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            forward = rng.random() < lp.edge_probability
+            backward = rng.random() < lp.edge_probability
+            if rng.random() < lp.mutuality_bias:
+                backward = forward
+            if forward:
+                ties.append((i, j))
+            if backward:
+                ties.append((j, i))
+    ties.sort()
+    return ties
 
+
+def _tokens(
+    rng: random.Random, labels: Sequence[str], attributes: Mapping[str, Sequence[str]] | None
+) -> dict[str, set[str]]:
+    """Each label's attribute tokens, one draw per category in declaration order."""
     tokens: dict[str, set[str]] = {}
     if attributes:
         for label in labels:
-            toks = set()
-            for key, values in attributes.items():
-                toks.add(f"{key}:{values[int(rng.random() * len(values))]}")
-            tokens[label] = toks
-    return graph, AttributeTable(tokens)
+            tokens[label] = {f"{key}:{values[int(rng.random() * len(values))]}" for key, values in attributes.items()}
+    return tokens
 
 
 def generate_synthetic(
@@ -111,7 +106,14 @@ def generate_synthetic(
     the module docstring for the fixed draw scheme.
     """
     _validate(n_nodes, layers)
-    return _generate(random.Random(seed), n_nodes, layers, aggregates, attributes)
+    rng = random.Random(seed)
+    labels = node_labels(n_nodes)
+    edges = [
+        (labels[i], labels[j], lp.name) for lp in layers for i, j in _layer_ties(rng, n_nodes, lp)
+    ]
+    specs = [LayerSpec.basic(lp.name) for lp in layers] + list(aggregates)
+    graph = build_graph(labels, specs, edges)
+    return graph, AttributeTable(_tokens(rng, labels, attributes))
 
 
 # Demo preset: four basic tie types and the five usual unions.  Strong
@@ -162,9 +164,15 @@ def write_demo_dataset(out_dir: str | Path, seed: int = DEMO_SEED, n_nodes: int 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    graph, attrs = _generate(rng, n_nodes, DEMO_LAYERS, DEMO_AGGREGATES, DEMO_ATTRIBUTES)
+    labels = node_labels(n_nodes)
+    specs = [LayerSpec.basic(lp.name) for lp in DEMO_LAYERS] + list(DEMO_AGGREGATES)
+    edge_lines = ["source,target,layer\n"]
+    for lp in DEMO_LAYERS:
+        for i, j in _layer_ties(rng, n_nodes, lp):
+            edge_lines.append(f"{labels[i]},{labels[j]},{lp.name}\n")
+    tokens = _tokens(rng, labels, DEMO_ATTRIBUTES)
     lo, hi = DEMO_GPA_RANGE
-    gpa = {label: lo + (hi - lo) * rng.random() for label in graph.labels}
+    gpa = {label: lo + (hi - lo) * rng.random() for label in labels}
 
     paths = []
 
@@ -174,19 +182,12 @@ def write_demo_dataset(out_dir: str | Path, seed: int = DEMO_SEED, n_nodes: int 
             fh.write(text)
         paths.append(path)
 
-    write("nodes.txt", "".join(f"{label}\n" for label in graph.labels))
-
-    edge_lines = ["source,target,layer\n"]
-    for name in graph.basic_layer_names:
-        view = graph.view(name)
-        for i, j in view.edges():
-            edge_lines.append(f"{graph.node_label(i)},{graph.node_label(j)},{name}\n")
+    write("nodes.txt", "".join(f"{label}\n" for label in labels))
     write("edges.csv", "".join(edge_lines))
 
     attr_lines = ["node,key,value\n"]
-    for label in graph.labels:
-        tokens = sorted(attrs.tokens(label))
-        for token in tokens:
+    for label in labels:
+        for token in sorted(tokens[label]):
             key, value = token.split(":", 1)
             attr_lines.append(f"{label},{key},{value}\n")
         attr_lines.append(f"{label},gpa,{gpa[label]:.2f}\n")
@@ -198,7 +199,7 @@ def write_demo_dataset(out_dir: str | Path, seed: int = DEMO_SEED, n_nodes: int 
         "attributes": "attributes.csv",
         "layers": [
             {"name": s.name, "kind": s.kind, "constituents": list(s.constituents)}
-            for s in graph.specs
+            for s in specs
         ],
         "pairs": [list(p) for p in DEMO_PAIRS],
         "buckets": {

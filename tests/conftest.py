@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from tieplex import LayerParams, LayerSpec, build_graph, generate_synthetic, kernels, structure
+from tieplex import (
+    LayerParams,
+    LayerSpec,
+    build_graph,
+    cross_layer_metrics,
+    generate_synthetic,
+    kernels,
+    layer_metrics,
+    structure,
+)
 
 
 # Every report verb with the arguments it requires, each layer argument
@@ -35,6 +44,16 @@ def two_layer(edges_a, edges_b, n):
     triples = [(str(i), str(j), "a") for i, j in edges_a]
     triples += [(str(i), str(j), "b") for i, j in edges_b]
     return build_graph(labels, specs, triples)
+
+
+def actor_column(name):
+    """``f(view, i)``: entry ``i`` of the ``layer_metrics(view)`` column ``name``, as the package ships it."""
+    return lambda view, i: getattr(layer_metrics(view), name)[i].item()
+
+
+def pair_column(name):
+    """``f(g, alpha, beta, i)``: entry ``i`` of the ``cross_layer_metrics(g, alpha, beta)`` column ``name``."""
+    return lambda g, alpha, beta, i: getattr(cross_layer_metrics(g, alpha, beta), name)[i].item()
 
 
 def metric_corpus(count=200):

@@ -3,10 +3,14 @@
 Everything here evaluates the defining formulas literally on adjacency
 matrices (triple loops, matrix closure, explicit correlation sums) and
 shares no code with the library paths it checks; only the
-``EquivalenceClass``, ``PathStats`` and ``EdgeRecord`` record types,
-the error classes and the layer declaration check are imported.
-``path_stats_bfs`` is the one-source-at-a-time BFS that
-``structure.path_stats`` replaced, kept as its reference; likewise
+``ActorMetrics``, ``EquivalenceClass``, ``PathStats`` and
+``EdgeRecord`` record types, the error classes and the layer
+declaration check are imported.  The set-based per-actor functions
+(``reciprocity``, ``cycle_closure``, ``cross_layer_table``, ...) are
+the reference that the columnar metric kernels replaced, and the
+matrix forms of the same metrics carry a ``matrix_`` prefix where the
+names would clash.  ``path_stats_bfs`` is the one-source-at-a-time BFS
+that ``structure.path_stats`` replaced, kept as its reference; likewise
 ``parse_edges`` and ``_attribute_rows`` are the line-by-line parsers
 that the bulk column reader of ``tieplex.io`` replaced.
 """
@@ -14,7 +18,7 @@ that the bulk column reader of ``tieplex.io`` replaced.
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,14 +35,15 @@ from tieplex.errors import (
 )
 from tieplex.graph import EdgeRecord, check_layers
 from tieplex.io import BucketRule
+from tieplex.metrics import ActorMetrics
 from tieplex.structure import EquivalenceClass, PathStats
 
 
 def view_matrix(view) -> list[list[int]]:
     n = view.n_nodes
     x = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in view.out_set(i):
+    for i, row in enumerate(view.out.rows()):
+        for j in row:
             x[i][j] = 1
     return x
 
@@ -66,7 +71,7 @@ def cycle_count(x, i) -> int:
     return sum(x[i][j] * x[j][h] * x[h][i] for j in range(n) for h in range(n))
 
 
-def cycle_closure(x, i) -> float:
+def matrix_cycle_closure(x, i) -> float:
     n = len(x)
     din = in_degree(x, i)
     if din == 0:
@@ -81,12 +86,12 @@ def cycle_closure(x, i) -> float:
     return total / din
 
 
-def triplet_count(x, i) -> int:
+def matrix_triplet_count(x, i) -> int:
     n = len(x)
     return sum(x[i][j] * x[j][h] * x[i][h] for j in range(n) for h in range(n))
 
 
-def triplet_closure(x, i) -> float:
+def matrix_triplet_closure(x, i) -> float:
     n = len(x)
     dout = out_degree(x, i)
     if dout == 0:
@@ -101,14 +106,14 @@ def triplet_closure(x, i) -> float:
     return total / dout
 
 
-def cross_reciprocity(xa, xb, i) -> float:
+def matrix_cross_reciprocity(xa, xb, i) -> float:
     n = len(xa)
     num = sum(xa[i][j] * xb[j][i] for j in range(n))
     den = out_degree(xa, i) + in_degree(xb, i) - num
     return num / den if den else 0.0
 
 
-def cross_cycle_closure(xa, xb, i) -> float:
+def matrix_cross_cycle_closure(xa, xb, i) -> float:
     n = len(xa)
     din = in_degree(xb, i)
     if din == 0:
@@ -123,7 +128,7 @@ def cross_cycle_closure(xa, xb, i) -> float:
     return total / din
 
 
-def cross_triplet_closure(xa, xb, i) -> float:
+def matrix_cross_triplet_closure(xa, xb, i) -> float:
     n = len(xa)
     dout = out_degree(xa, i)
     if dout == 0:
@@ -138,25 +143,184 @@ def cross_triplet_closure(xa, xb, i) -> float:
     return total / dout
 
 
-def overlap_out(xa, xb, i) -> float:
+def matrix_overlap_out(xa, xb, i) -> float:
     n = len(xa)
     num = sum(xa[i][j] * xb[i][j] for j in range(n))
     den = out_degree(xa, i) + out_degree(xb, i) - num
     return num / den if den else 0.0
 
 
-def overlap_in(xa, xb, i) -> float:
+def matrix_overlap_in(xa, xb, i) -> float:
     n = len(xa)
     num = sum(xa[j][i] * xb[j][i] for j in range(n))
     den = in_degree(xa, i) + in_degree(xb, i) - num
     return num / den if den else 0.0
 
 
-def token_jaccard(a: frozenset, b: frozenset) -> float:
+def jaccard(a: frozenset, b: frozenset) -> float:
     if not a and not b:
         return 0.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
+
+
+# The set-based per-actor reference: the frozenset functions that computed
+# every per-actor metric before the columnar kernels of tieplex.metrics
+# and tieplex.crosslayer, which must equal them bit for bit.  A layer's
+# rows are read straight from its two CSRs.
+
+
+def _row(csr, i) -> frozenset[int]:
+    return frozenset(csr.indices[csr.indptr[i]:csr.indptr[i + 1]].tolist())
+
+
+def out_set(view, i) -> frozenset[int]:
+    """Successors of ``i``: the nodes ``i`` names as ties."""
+    return _row(view.out, i)
+
+
+def in_set(view, i) -> frozenset[int]:
+    """Predecessors of ``i``: the nodes naming ``i`` as a tie."""
+    return _row(view.inn, i)
+
+
+def undirected_neighbors(view, i) -> frozenset[int]:
+    """Nodes adjacent to ``i`` ignoring direction."""
+    return out_set(view, i) | in_set(view, i)
+
+
+def edges(view) -> list[tuple[int, int]]:
+    """All directed edges, sorted by (source, target) id."""
+    return [(i, j) for i, row in enumerate(view.out.rows()) for j in row]
+
+
+def edge_set(view) -> frozenset[tuple[int, int]]:
+    return frozenset(edges(view))
+
+
+def canonical_form(g):
+    """Order-insensitive content of a graph: equal for equal labels, layers and ties."""
+    edges_by_label = {
+        name: frozenset((g.labels[i], g.labels[j]) for i, j in edges(g.view(name)))
+        for name in g.layer_names
+    }
+    return (frozenset(g.labels), g.specs, edges_by_label)
+
+
+def _mean_jaccard(anchor: frozenset[int], over: frozenset[int], neighbor_set) -> float:
+    """Average of jaccard(anchor, neighbor_set(h)) for h in ``over``, 0 for none, summed by fsum."""
+    if not over:
+        return 0.0
+    terms = [jaccard(anchor, neighbor_set(h)) for h in sorted(over)]
+    return math.fsum(terms) / len(over)
+
+
+def reciprocated_count(view, i) -> int:
+    """Number of mutual ties of actor ``i``."""
+    return len(out_set(view, i) & in_set(view, i))
+
+
+def reciprocity(view, i) -> float:
+    """Jaccard similarity of i's successor and predecessor sets."""
+    return jaccard(out_set(view, i), in_set(view, i))
+
+
+def three_cycle_count(view, i) -> int:
+    """Directed three-cycles through ``i``: ordered (j, h) with i->j->h->i."""
+    preds = in_set(view, i)
+    return sum(len(out_set(view, j) & preds) for j in out_set(view, i))
+
+
+def cycle_closure(view, i) -> float:
+    """Average of jaccard(out(i), in(h)) over the predecessors h of i."""
+    return _mean_jaccard(out_set(view, i), in_set(view, i), lambda h: in_set(view, h))
+
+
+def triplet_count(view, i) -> int:
+    """Transitive triplets from ``i``: ordered (j, h) with i->j, j->h, i->h."""
+    succ = out_set(view, i)
+    return sum(len(out_set(view, j) & succ) for j in succ)
+
+
+def triplet_closure(view, i) -> float:
+    """Average of jaccard(out(i), out(j)) over the successors j of i."""
+    return _mean_jaccard(out_set(view, i), out_set(view, i), lambda j: out_set(view, j))
+
+
+def actor_metrics(view, i) -> ActorMetrics:
+    """All single-layer metrics of one actor."""
+    return ActorMetrics(
+        node=i,
+        out_degree=view.out_degree(i),
+        in_degree=view.in_degree(i),
+        reciprocated=reciprocated_count(view, i),
+        reciprocity=reciprocity(view, i),
+        three_cycles=three_cycle_count(view, i),
+        cycle_closure=cycle_closure(view, i),
+        triplets=triplet_count(view, i),
+        triplet_closure=triplet_closure(view, i),
+    )
+
+
+def cross_reciprocity(g, alpha, beta, i) -> float:
+    """Jaccard similarity of i's successors in alpha with i's predecessors in beta."""
+    return jaccard(out_set(g.view(alpha), i), in_set(g.view(beta), i))
+
+
+def cross_cycle_closure(g, alpha, beta, i) -> float:
+    """Average of jaccard(out_alpha(i), in_beta(h)) over the beta-predecessors h of i."""
+    va, vb = g.view(alpha), g.view(beta)
+    return _mean_jaccard(out_set(va, i), in_set(vb, i), lambda h: in_set(vb, h))
+
+
+def cross_triplet_closure(g, alpha, beta, i) -> float:
+    """Average of jaccard(out_alpha(i), out_beta(j)) over the alpha-successors j of i."""
+    va, vb = g.view(alpha), g.view(beta)
+    return _mean_jaccard(out_set(va, i), out_set(va, i), lambda j: out_set(vb, j))
+
+
+def overlap_out(g, alpha, beta, i) -> float:
+    """Similarity of i's successor sets across the two layers."""
+    return jaccard(out_set(g.view(alpha), i), out_set(g.view(beta), i))
+
+
+def overlap_in(g, alpha, beta, i) -> float:
+    """Similarity of i's predecessor sets across the two layers."""
+    return jaccard(in_set(g.view(alpha), i), in_set(g.view(beta), i))
+
+
+class CrossLayerRecord(NamedTuple):
+    """The five pair metrics of one actor for one ordered layer pair."""
+
+    node: int
+    alpha: str
+    beta: str
+    reciprocity: float
+    cycle_closure: float
+    triplet_closure: float
+    overlap_out: float
+    overlap_in: float
+
+
+def cross_layer_record(g, alpha, beta, i) -> CrossLayerRecord:
+    return CrossLayerRecord(
+        i, alpha, beta,
+        cross_reciprocity(g, alpha, beta, i),
+        cross_cycle_closure(g, alpha, beta, i),
+        cross_triplet_closure(g, alpha, beta, i),
+        overlap_out(g, alpha, beta, i),
+        overlap_in(g, alpha, beta, i),
+    )
+
+
+def cross_layer_table(g, alpha, beta) -> tuple[CrossLayerRecord, ...]:
+    """Cross-layer records for every node."""
+    return tuple(cross_layer_record(g, alpha, beta, i) for i in range(g.n_nodes))
+
+
+def attribute_similarity(table, a, b) -> float:
+    """Jaccard similarity of two nodes' attribute token sets (both empty -> 0)."""
+    return jaccard(table.tokens(a), table.tokens(b))
 
 
 def attr_out(x, tokens: list[frozenset], i) -> float:
@@ -164,7 +328,7 @@ def attr_out(x, tokens: list[frozenset], i) -> float:
     dout = out_degree(x, i)
     if dout == 0:
         return 0.0
-    return sum(x[i][j] * token_jaccard(tokens[i], tokens[j]) for j in range(n)) / dout
+    return sum(x[i][j] * jaccard(tokens[i], tokens[j]) for j in range(n)) / dout
 
 
 def attr_in(x, tokens: list[frozenset], i) -> float:
@@ -172,7 +336,7 @@ def attr_in(x, tokens: list[frozenset], i) -> float:
     din = in_degree(x, i)
     if din == 0:
         return 0.0
-    return sum(x[j][i] * token_jaccard(tokens[i], tokens[j]) for j in range(n)) / din
+    return sum(x[j][i] * jaccard(tokens[i], tokens[j]) for j in range(n)) / din
 
 
 def attr_baseline(tokens: list[frozenset]) -> float:
@@ -180,7 +344,7 @@ def attr_baseline(tokens: list[frozenset]) -> float:
     if n < 2:
         return 0.0
     total = sum(
-        token_jaccard(tokens[i], tokens[j]) for i in range(n) for j in range(i + 1, n)
+        jaccard(tokens[i], tokens[j]) for i in range(n) for j in range(i + 1, n)
     )
     return 2.0 * total / (n * (n - 1))
 
@@ -191,7 +355,7 @@ def attr_baseline_fsum(tokens: list[frozenset]) -> float:
     pairs = n * (n - 1) // 2
     if pairs == 0:
         return 0.0
-    terms = [token_jaccard(tokens[i], tokens[j]) for i in range(n) for j in range(i + 1, n)]
+    terms = [jaccard(tokens[i], tokens[j]) for i in range(n) for j in range(i + 1, n)]
     return math.fsum(terms) / pairs
 
 
@@ -428,7 +592,7 @@ def _split_header(stream_lines, expected: tuple[str, ...], delimiter: str | None
     fields = tuple(f.strip() for f in raw.split(delim))
     if fields != expected:
         raise MissingHeader(
-            f"{what} file must start with header '{','.join(expected)}', got '{raw}'"
+            f"{what} file must start with header '{','.join(expected)}', got {raw[:80]!r}"
         )
     return delim
 
@@ -494,3 +658,4 @@ def attribute_table(stream: IO[str], buckets, delimiter: str | None = None) -> d
     for _, node, token in _attribute_rows(stream, buckets, delimiter):
         tokens.setdefault(node, set()).add(token)
     return tokens
+

@@ -15,26 +15,14 @@ from tieplex import (
     CrossLayerAverages,
     LayerParams,
     LayerSpec,
-    actor_metrics,
     attribute_metrics,
     build_graph,
-    cross_cycle_closure,
     cross_layer_averages,
-    cross_layer_table,
-    cross_reciprocity,
-    cross_triplet_closure,
-    cycle_closure,
+    cross_layer_metrics,
     generate_synthetic,
     layer_metrics,
-    overlap_in,
-    overlap_out,
     path_stats,
-    reciprocated_count,
-    reciprocity,
     strongly_connected_components,
-    three_cycle_count,
-    triplet_closure,
-    triplet_count,
     unnetworked_similarity,
     wedge_closure,
     write_demo_dataset,
@@ -45,6 +33,16 @@ from tieplex.io import load_dataset
 from tieplex.structure import largest_scc
 
 import oracles
+from oracles import (
+    actor_metrics,
+    cross_cycle_closure,
+    cross_layer_table,
+    cross_reciprocity,
+    cross_triplet_closure,
+    cycle_closure,
+    reciprocity,
+    triplet_closure,
+)
 from conftest import force_probe, metric_corpus, two_layer
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
@@ -67,14 +65,14 @@ def test_criterion_1_metric_oracle_equivalence():
         start = time.perf_counter()
         for g in metric_corpus(200):
             for name in g.layer_names:
-                v = g.view(name)
-                x = oracles.view_matrix(v)
+                m = layer_metrics(g.view(name))
+                x = oracles.view_matrix(g.view(name))
                 for i in range(g.n_nodes):
-                    assert abs(reciprocity(v, i) - oracles.norm_reciprocity(x, i)) <= TOL
-                    assert three_cycle_count(v, i) == oracles.cycle_count(x, i)
-                    assert abs(cycle_closure(v, i) - oracles.cycle_closure(x, i)) <= TOL
-                    assert triplet_count(v, i) == oracles.triplet_count(x, i)
-                    assert abs(triplet_closure(v, i) - oracles.triplet_closure(x, i)) <= TOL
+                    assert abs(m.reciprocity[i] - oracles.norm_reciprocity(x, i)) <= TOL
+                    assert m.three_cycles[i] == oracles.cycle_count(x, i)
+                    assert abs(m.cycle_closure[i] - oracles.matrix_cycle_closure(x, i)) <= TOL
+                    assert m.triplets[i] == oracles.matrix_triplet_count(x, i)
+                    assert abs(m.triplet_closure[i] - oracles.matrix_triplet_closure(x, i)) <= TOL
         assert time.perf_counter() - start < 10.0
 
 
@@ -89,25 +87,46 @@ def test_criterion_2_cross_layer_reduction_bitwise():
                     assert cross_triplet_closure(g, name, name, i) == triplet_closure(v, i)
 
 
+def check_cross_layer_columns_reduce():
+    for g in metric_corpus(200):
+        for name in g.layer_names:
+            single = layer_metrics(g.view(name))
+            pair = cross_layer_metrics(g, name, name)
+            for column in ("reciprocity", "cycle_closure", "triplet_closure"):
+                assert getattr(pair, column).tobytes() == getattr(single, column).tobytes(), (name, column)
+
+
+def test_criterion_2_cross_layer_columns_reduce_bitwise():
+    with criterion(2, "cross-layer columns reduce bitwise to the layer columns at alpha == beta"):
+        check_cross_layer_columns_reduce()
+
+
+def test_criterion_2_cross_layer_columns_reduce_bitwise_on_probe_path(monkeypatch):
+    force_probe(monkeypatch)
+    check_cross_layer_columns_reduce()
+
+
 def test_criterion_3_bounds_fuzzing():
     with criterion(3, "10k+ evaluations stay in [0,1], rec <= min(dout,din)"):
         evaluations = 0
         for g in metric_corpus(90):
+            pair = cross_layer_metrics(g, "a", "b")
             for name in g.layer_names:
                 v = g.view(name)
+                m = layer_metrics(v)
                 for i in range(g.n_nodes):
                     values = (
-                        reciprocity(v, i),
-                        cycle_closure(v, i),
-                        triplet_closure(v, i),
-                        cross_reciprocity(g, "a", "b", i),
-                        overlap_out(g, "a", "b", i),
-                        overlap_in(g, "a", "b", i),
+                        m.reciprocity[i],
+                        m.cycle_closure[i],
+                        m.triplet_closure[i],
+                        pair.reciprocity[i],
+                        pair.overlap_out[i],
+                        pair.overlap_in[i],
                     )
                     evaluations += len(values)
                     for value in values:
                         assert 0.0 <= value <= 1.0
-                    assert reciprocated_count(v, i) <= min(v.out_degree(i), v.in_degree(i))
+                    assert m.reciprocated[i] <= min(v.out_degree(i), v.in_degree(i))
         assert evaluations >= 10_000
 
 
@@ -190,13 +209,13 @@ def test_criterion_7_hand_worked_fixtures():
             ["1", "2", "3"], [LayerSpec.basic("L")],
             [("1", "2", "L"), ("2", "3", "L"), ("3", "1", "L")],
         ).view("L")
-        for i in range(3):
-            close(reciprocity(ring, i), 0.0)
-            assert three_cycle_count(ring, i) == 1
-            close(cycle_closure(ring, i), 1.0)
-            assert triplet_count(ring, i) == 0
-            close(triplet_closure(ring, i), 0.0)
         lm = layer_metrics(ring)
+        for i in range(3):
+            close(lm.reciprocity[i], 0.0)
+            assert lm.three_cycles[i] == 1
+            close(lm.cycle_closure[i], 1.0)
+            assert lm.triplets[i] == 0
+            close(lm.triplet_closure[i], 0.0)
         close(lm.avg_reciprocity, 0.0)
         close(lm.avg_cycle_closure, 1.0)
         close(lm.avg_triplet_closure, 0.0)
@@ -204,24 +223,25 @@ def test_criterion_7_hand_worked_fixtures():
         close(stats.avg_path, 1.5)
         assert stats.diameter == 2
 
-        triplet = build_graph(
+        triplet = layer_metrics(build_graph(
             ["1", "2", "3"], [LayerSpec.basic("L")],
             [("1", "2", "L"), ("2", "3", "L"), ("1", "3", "L")],
-        ).view("L")
-        assert triplet_count(triplet, 0) == 1
-        close(triplet_closure(triplet, 0), 0.25)
-        close(cycle_closure(triplet, 2), 0.0)
-        assert all(three_cycle_count(triplet, i) == 0 for i in range(3))
-        assert all(abs(reciprocity(triplet, i)) <= TOL for i in range(3))
+        ).view("L"))
+        assert triplet.triplets[0] == 1
+        close(triplet.triplet_closure[0], 0.25)
+        close(triplet.cycle_closure[2], 0.0)
+        assert all(triplet.three_cycles[i] == 0 for i in range(3))
+        assert all(abs(triplet.reciprocity[i]) <= TOL for i in range(3))
 
         dyad = build_graph(
             ["1", "2"], [LayerSpec.basic("L")], [("1", "2", "L"), ("2", "1", "L")]
         ).view("L")
-        assert reciprocated_count(dyad, 0) == 1
-        close(reciprocity(dyad, 0), 1.0)
-        assert three_cycle_count(dyad, 0) == triplet_count(dyad, 0) == 0
-        close(cycle_closure(dyad, 0), 0.0)
-        close(triplet_closure(dyad, 0), 0.0)
+        dm = layer_metrics(dyad)
+        assert dm.reciprocated[0] == 1
+        close(dm.reciprocity[0], 1.0)
+        assert dm.three_cycles[0] == dm.triplets[0] == 0
+        close(dm.cycle_closure[0], 0.0)
+        close(dm.triplet_closure[0], 0.0)
         stats = path_stats(dyad, {0, 1})
         close(stats.avg_path, 1.0)
         assert stats.diameter == 1
@@ -320,3 +340,6 @@ def check_kernels_match_set_reference():
                     alpha, beta, *(fsum_mean([getattr(r, f) for r in table], n) for f in fields)
                 )
                 assert cross_layer_averages(g, alpha, beta) == expected
+                columns = cross_layer_metrics(g, alpha, beta)
+                for f in fields:
+                    assert getattr(columns, f).tolist() == [getattr(r, f) for r in table], (alpha, beta, f)

@@ -3,34 +3,40 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import attribute_similarity
 from tieplex import (
     AttributeTable,
     LayerParams,
     LayerSpec,
     attribute_metrics,
-    attribute_similarity,
     build_graph,
-    cross_cycle_closure,
-    cross_reciprocity,
-    cross_triplet_closure,
-    cycle_closure,
+    cross_layer_metrics,
     generate_synthetic,
+    jaccard,
     load_dataset,
-    overlap_in,
-    overlap_out,
     parse_attributes,
-    reciprocity,
-    triplet_closure,
     unnetworked_similarity,
     write_demo_dataset,
 )
 
-from conftest import two_layer
+from conftest import actor_column, pair_column, two_layer
+
+# Node i's metrics as the package ships them: entry i of a column of
+# layer_metrics(view) or of cross_layer_metrics(g, alpha, beta).
+reciprocity = actor_column("reciprocity")
+cycle_closure = actor_column("cycle_closure")
+triplet_closure = actor_column("triplet_closure")
+cross_reciprocity = pair_column("reciprocity")
+cross_cycle_closure = pair_column("cycle_closure")
+cross_triplet_closure = pair_column("triplet_closure")
+overlap_out = pair_column("overlap_out")
+overlap_in = pair_column("overlap_in")
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "demo"
 
@@ -72,11 +78,23 @@ def test_overlap_examples():
     assert overlap_out(disjoint, "a", "b", 0) == 0.0
 
 
+def test_cross_layer_metrics_columns_are_read_only_float64():
+    g = two_layer([(0, 1), (1, 2)], [(1, 0)], 3)
+    m = cross_layer_metrics(g, "a", "b")
+    assert (m.alpha, m.beta) == ("a", "b")
+    for column in (m.reciprocity, m.cycle_closure, m.triplet_closure, m.overlap_out, m.overlap_in):
+        assert column.dtype == np.float64 and len(column) == 3
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    assert m.reciprocity.tolist() == [oracles.cross_reciprocity(g, "a", "b", i) for i in range(3)]
+
+
 def test_attribute_similarity():
     table = AttributeTable({"1": {"gender:F", "dept:CS"}, "2": {"gender:F", "dept:EE"}})
-    assert attribute_similarity(table, "1", "2") == 1 / 3
-    assert attribute_similarity(table, "1", "1") == 1.0
-    assert attribute_similarity(table, "x", "y") == 0.0  # both absent
+    for similarity in (attribute_similarity, lambda t, a, b: jaccard(t.tokens(a), t.tokens(b))):
+        assert similarity(table, "1", "2") == 1 / 3
+        assert similarity(table, "1", "1") == 1.0
+        assert similarity(table, "x", "y") == 0.0  # both absent
 
 
 def test_attribute_metrics_single_edge():
@@ -123,8 +141,8 @@ def check_attribute_metrics_match_set_reference(g, table):
         assert baseline == unnetworked_similarity(labels, table)
         assert [(r.node, r.layer) for r in records] == [(i, layer) for i in range(g.n_nodes)]
         for i, record in enumerate(records):
-            assert record.out_similarity == mean_similarity(i, view.out_set(i))
-            assert record.in_similarity == mean_similarity(i, view.in_set(i))
+            assert record.out_similarity == mean_similarity(i, oracles.out_set(view, i))
+            assert record.in_similarity == mean_similarity(i, oracles.in_set(view, i))
 
 
 def test_attribute_metrics_match_set_reference_bitwise_on_demo():
@@ -178,8 +196,8 @@ def test_reduction_to_single_layer_is_bitwise(ea, eb):
             assert cross_reciprocity(g, name, name, i) == reciprocity(v, i)
             assert cross_cycle_closure(g, name, name, i) == cycle_closure(v, i)
             assert cross_triplet_closure(g, name, name, i) == triplet_closure(v, i)
-            assert overlap_out(g, name, name, i) == (1.0 if v.out_set(i) else 0.0)
-            assert overlap_in(g, name, name, i) == (1.0 if v.in_set(i) else 0.0)
+            assert overlap_out(g, name, name, i) == (1.0 if oracles.out_set(v, i) else 0.0)
+            assert overlap_in(g, name, name, i) == (1.0 if oracles.in_set(v, i) else 0.0)
 
 
 @given(edge_lists, edge_lists)
@@ -189,11 +207,11 @@ def test_cross_metrics_match_literal_formulas(ea, eb):
     xa = oracles.view_matrix(g.view("a"))
     xb = oracles.view_matrix(g.view("b"))
     for i in range(8):
-        assert math.isclose(cross_reciprocity(g, "a", "b", i), oracles.cross_reciprocity(xa, xb, i), abs_tol=1e-12)
-        assert math.isclose(cross_cycle_closure(g, "a", "b", i), oracles.cross_cycle_closure(xa, xb, i), abs_tol=1e-12)
-        assert math.isclose(cross_triplet_closure(g, "a", "b", i), oracles.cross_triplet_closure(xa, xb, i), abs_tol=1e-12)
-        assert overlap_out(g, "a", "b", i) == oracles.overlap_out(xa, xb, i)
-        assert overlap_in(g, "a", "b", i) == oracles.overlap_in(xa, xb, i)
+        assert math.isclose(cross_reciprocity(g, "a", "b", i), oracles.matrix_cross_reciprocity(xa, xb, i), abs_tol=1e-12)
+        assert math.isclose(cross_cycle_closure(g, "a", "b", i), oracles.matrix_cross_cycle_closure(xa, xb, i), abs_tol=1e-12)
+        assert math.isclose(cross_triplet_closure(g, "a", "b", i), oracles.matrix_cross_triplet_closure(xa, xb, i), abs_tol=1e-12)
+        assert overlap_out(g, "a", "b", i) == oracles.matrix_overlap_out(xa, xb, i)
+        assert overlap_in(g, "a", "b", i) == oracles.matrix_overlap_in(xa, xb, i)
 
 
 @given(edge_lists, edge_lists)

@@ -1,7 +1,9 @@
+import hashlib
 import io as stdio
 import json
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import oracles
@@ -23,18 +25,18 @@ from tieplex import (
     UnknownBucketKey,
     UnknownLayer,
     UnknownNode,
+    build_graph,
     generate_synthetic,
-    graph_from_json,
-    graph_to_json,
+    layer_metrics,
     load_dataset,
     manifest_from_dict,
     parse_attributes,
     parse_edges,
     parse_nodes,
-    reciprocity,
     write_demo_dataset,
 )
 import tieplex.io
+from tieplex.cli import main
 from tieplex.io import BucketRule
 
 GPA_BUCKETS = {
@@ -77,6 +79,14 @@ def test_parse_edges_header_required():
         next(chunks)
     with pytest.raises(MissingHeader):
         edge_rows(stdio.StringIO(""))
+
+
+def test_missing_header_quotes_an_escaped_prefix_of_the_line():
+    # a file whose lines end in a lone CR is one line; the message shows 80 characters of it
+    with pytest.raises(MissingHeader) as err:
+        edge_rows(stdio.StringIO("source,target,layer\r" + "a,b,x\r" * 1000))
+    assert str(err.value).endswith("got " + repr(("source,target,layer\r" + "a,b,x\r" * 1000)[:80]))
+    assert "\r" not in str(err.value) and len(str(err.value)) < 200
 
 
 def test_parse_edges_empty_field():
@@ -232,7 +242,7 @@ def test_load_dataset_nine_layers(tmp_path):
     assert first.report.node_count == 3
     assert first.report.edge_counts["all"] == 1
     second = load_dataset(path)
-    assert first.graph == second.graph
+    assert oracles.canonical_form(first.graph) == oracles.canonical_form(second.graph)
 
 
 def test_load_dataset_unknown_node_has_line(tmp_path):
@@ -250,7 +260,7 @@ def test_load_dataset_later_label_starting_with_bom_matches_its_edges(tmp_path):
     path = write_dataset(tmp_path, "\ufeffa\n\ufeffb\n", "source,target,layer\na,\ufeffb,x\n", manifest_doc())
     loaded = load_dataset(path)
     assert loaded.graph.labels == ("a", "\ufeffb")
-    assert loaded.graph.view("x").edge_set() == {(0, 1)}
+    assert oracles.edge_set(loaded.graph.view("x")) == {(0, 1)}
 
 
 def test_load_dataset_duplicate_reporting(tmp_path):
@@ -262,16 +272,15 @@ def test_load_dataset_duplicate_reporting(tmp_path):
     assert loaded.report.edge_counts["x"] == 1
 
 
-def test_graph_json_round_trip():
+def test_graph_rebuilds_from_its_basic_ties():
     g, _ = generate_synthetic(
         11, 9,
         [LayerParams("a", 0.25, 0.5), LayerParams("b", 0.2, 0.0)],
         aggregates=[LayerSpec.aggregate("u", "a", "b")],
     )
-    text = graph_to_json(g)
-    again = graph_from_json(text)
-    assert again == g
-    assert graph_to_json(again) == text  # canonical bytes are stable
+    ties = [(g.labels[i], g.labels[j], name) for name in g.basic_layer_names for i, j in oracles.edges(g.view(name))]
+    again = build_graph(g.labels, g.specs, ties)
+    assert oracles.canonical_form(again) == oracles.canonical_form(g)
 
 
 def test_synthetic_empty_at_zero_probability():
@@ -283,20 +292,21 @@ def test_synthetic_seed_determinism():
     args = (42, 12, [LayerParams("a", 0.3, 0.4), LayerParams("b", 0.1, 0.9)])
     g1, t1 = generate_synthetic(*args, attributes={"c": ("x", "y")})
     g2, t2 = generate_synthetic(*args, attributes={"c": ("x", "y")})
-    assert graph_to_json(g1) == graph_to_json(g2)
+    assert oracles.canonical_form(g1) == oracles.canonical_form(g2)
     assert t1 == t2
     g3, _ = generate_synthetic(43, 12, args[2])
-    assert graph_to_json(g3) != graph_to_json(g1)
+    assert oracles.canonical_form(g3) != oracles.canonical_form(g1)
 
 
 def test_synthetic_full_mutuality():
     g, _ = generate_synthetic(7, 12, [LayerParams("L", 0.4, 1.0)])
     v = g.view("L")
     assert v.n_edges > 0
+    reciprocity = layer_metrics(v).reciprocity
     for i in range(12):
-        assert v.out_set(i) == v.in_set(i)
-        if v.out_set(i):
-            assert reciprocity(v, i) == 1.0
+        assert oracles.out_set(v, i) == oracles.in_set(v, i)
+        if oracles.out_set(v, i):
+            assert reciprocity[i] == 1.0
 
 
 def test_synthetic_parameter_validation():
@@ -320,10 +330,28 @@ def test_write_demo_dataset_loads(tmp_path):
     assert any(t.startswith("gpa:") for t in some)
 
 
+# sha256 of each file `generate` writes, keyed by its arguments
+GENERATE_DIGESTS = json.loads(Path(__file__).with_name("generate_digests.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("args", GENERATE_DIGESTS)
+def test_generate_files_unchanged(args, tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path), *args.split()]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == GENERATE_DIGESTS[args]
+
+
 def test_load_dataset_duplicate_node_label(tmp_path):
     path = write_dataset(tmp_path, "a\na\n", "source,target,layer\n", manifest_doc())
     with pytest.raises(DuplicateNodeLabel):
         load_dataset(path)
+
+
+def test_parse_nodes_and_load_dataset_split_lines_alike(tmp_path):
+    # only "\n" ends a line, whether the text comes from a string or a file
+    nodes = "a\rb\nc\n"
+    path = write_dataset(tmp_path, nodes, "source,target,layer\n", manifest_doc())
+    assert list(load_dataset(path).graph.labels) == parse_nodes(stdio.StringIO(nodes)) == ["a\rb", "c"]
 
 
 # Fragments that file iteration keeps inside a line although
@@ -577,7 +605,8 @@ def test_load_dataset_same_graph_at_every_chunk_size(tmp_path, monkeypatch):
     for rows in (1, 2, 3):
         monkeypatch.setattr(tieplex.io, "_ROWS", rows)
         again = load_dataset(path)
-        assert again.graph == loaded.graph and again.report == loaded.report
+        assert oracles.canonical_form(again.graph) == oracles.canonical_form(loaded.graph)
+        assert again.report == loaded.report
     assert loaded.report.duplicates_collapsed["x"] == 1
     assert loaded.graph.view("u").n_edges == 5
 

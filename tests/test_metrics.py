@@ -8,18 +8,20 @@ import oracles
 from tieplex import (
     JaccardConvention,
     LayerParams,
-    cycle_closure,
     generate_synthetic,
     jaccard,
     layer_metrics,
-    reciprocated_count,
-    reciprocity,
-    three_cycle_count,
-    triplet_closure,
-    triplet_count,
 )
 
-from conftest import single
+from conftest import actor_column, single
+
+# Node i's metrics as the package ships them: entry i of a layer_metrics column.
+reciprocated_count = actor_column("reciprocated")
+reciprocity = actor_column("reciprocity")
+three_cycle_count = actor_column("three_cycles")
+cycle_closure = actor_column("cycle_closure")
+triplet_count = actor_column("triplets")
+triplet_closure = actor_column("triplet_closure")
 
 
 def test_jaccard_examples():
@@ -77,7 +79,7 @@ def test_triplet_closure_values(transitive_triplet):
     assert triplet_closure(transitive_triplet, 2) == 0.0  # no out-ties
     # full clique on three nodes: frozen from the brute-force oracle
     clique = single([(i, j) for i in range(3) for j in range(3) if i != j], 3)
-    expected = oracles.triplet_closure(oracles.view_matrix(clique), 0)
+    expected = oracles.matrix_triplet_closure(oracles.view_matrix(clique), 0)
     assert expected == 1 / 3
     for i in range(3):
         assert triplet_closure(clique, i) == expected
@@ -141,7 +143,7 @@ def test_reciprocity_one_iff_equal_nonempty_sets(edges):
     v = single(edges, 10)
     for i in range(10):
         r = reciprocity(v, i)
-        equal_nonempty = v.out_set(i) == v.in_set(i) != frozenset()
+        equal_nonempty = oracles.out_set(v, i) == oracles.in_set(v, i) != frozenset()
         assert (r == 1.0) == equal_nonempty
 
 
@@ -152,11 +154,11 @@ def test_metrics_match_literal_formulas(edges):
     x = oracles.view_matrix(v)
     for i in range(10):
         assert three_cycle_count(v, i) == oracles.cycle_count(x, i)
-        assert triplet_count(v, i) == oracles.triplet_count(x, i)
+        assert triplet_count(v, i) == oracles.matrix_triplet_count(x, i)
         assert reciprocated_count(v, i) == oracles.rec_count(x, i)
         assert math.isclose(reciprocity(v, i), oracles.norm_reciprocity(x, i), abs_tol=1e-12)
-        assert math.isclose(cycle_closure(v, i), oracles.cycle_closure(x, i), abs_tol=1e-12)
-        assert math.isclose(triplet_closure(v, i), oracles.triplet_closure(x, i), abs_tol=1e-12)
+        assert math.isclose(cycle_closure(v, i), oracles.matrix_cycle_closure(x, i), abs_tol=1e-12)
+        assert math.isclose(triplet_closure(v, i), oracles.matrix_triplet_closure(x, i), abs_tol=1e-12)
 
 
 @given(edge_lists, st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1]))

@@ -113,12 +113,21 @@ ATTRIBUTE_CASES = {
 }
 ATTRIBUTE_READABLE = ("nodes crlf", "nodes bom", "attributes crlf", "attributes bom")
 
+# One file of each kind with "\r" alone ending its lines; only "\n" ends
+# a line, so each of these files is read as a single line.
+LONE_CR_CASES = {
+    "nodes lone cr": {"nodes.txt": NODE_FILE.replace(b"\n", b"\r"), "edges.csv": GOOD, "attributes.csv": ATTRIBUTES},
+    "edges lone cr": {"nodes.txt": NODE_FILE, "edges.csv": GOOD.replace(b"\n", b"\r"), "attributes.csv": ATTRIBUTES},
+    "attributes lone cr": {"nodes.txt": NODE_FILE, "edges.csv": GOOD, "attributes.csv": ATTRIBUTES.replace(b"\n", b"\r")},
+}
+
 # Every case: its manifest and its files.
 CASE_FILES = {
     **{case: (INGEST_MANIFEST, {"nodes.txt": nodes, "edges.csv": edges})
        for case, (nodes, edges) in INGEST_CASES.items()},
     **{case: (ATTRIBUTE_MANIFEST, {"nodes.txt": nodes, "edges.csv": GOOD, "attributes.csv": attributes})
        for case, (nodes, attributes) in ATTRIBUTE_CASES.items()},
+    **{case: (ATTRIBUTE_MANIFEST, files) for case, files in LONE_CR_CASES.items()},
 }
 
 
@@ -134,6 +143,8 @@ def ingest_argvs():
     for case in ATTRIBUTE_CASES:
         for fmt in ("text", "json", "csv") if case in ATTRIBUTE_READABLE else ("csv",):
             yield case, f"attrs --layer u --format {fmt}"
+    for case in LONE_CR_CASES:
+        yield case, "attrs --layer u --format csv"
 
 
 @pytest.fixture(scope="module")
