@@ -25,11 +25,13 @@ from tieplex.report import (
     wedge_report,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="tieplex-demo-"))
-write_demo_dataset(workdir, seed=42, n_nodes=60)
-print(f"dataset written to {workdir}")
+# the dataset is held in memory once loaded, so its files can go
+with tempfile.TemporaryDirectory(prefix="tieplex-demo-") as tmp:
+    workdir = Path(tmp)
+    write_demo_dataset(workdir, seed=42, n_nodes=60)
+    print(f"dataset written to {workdir}")
+    dataset = load_dataset(workdir / "manifest.json")
 
-dataset = load_dataset(workdir / "manifest.json")
 report = dataset.report
 print(f"loaded {report.node_count} nodes; edges per layer: {report.edge_counts}")
 print()

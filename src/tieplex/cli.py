@@ -1,10 +1,12 @@
 """Command-line driver.
 
-The report verbs and their options come from ``report.REPORTS``;
-``generate`` and ``validate`` are the two other verbs.  Exit codes: 0
-success, 2 input or validation error, 3 unexpected internal error.
-Text output carries no color codes, so NO_COLOR needs no special
-handling.
+The report verbs and their options come from the verb table
+``verbs.REPORTS``; ``generate`` and ``validate`` are the two other verbs.
+``generate`` imports no numpy: :mod:`tieplex.report` and
+:mod:`tieplex.io` are imported only when ``validate`` or a report verb
+runs.  Exit codes: 0 success, 2 input or validation error, 3 unexpected
+internal error.  Text output carries no color codes, so NO_COLOR needs
+no special handling.
 """
 
 from __future__ import annotations
@@ -13,10 +15,25 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import report as rpt
 from .errors import TieplexError
-from .io import load_dataset, load_manifest
 from .synth import DEMO_NODES, DEMO_SEED, MAX_NODES, write_demo_dataset
+from .verbs import FORMATS, REPORTS
+
+
+# Module-level names that a tracer can rebind; each imports tieplex.io,
+# and with it numpy, only when called.
+def load_manifest(path: str | Path):
+    """:func:`tieplex.io.load_manifest`."""
+    from .io import load_manifest
+
+    return load_manifest(path)
+
+
+def load_dataset(path: str | Path):
+    """:func:`tieplex.io.load_dataset`."""
+    from .io import load_dataset
+
+    return load_dataset(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,11 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for verb, report in rpt.REPORTS.items():
+    for verb, report in REPORTS.items():
         p = sub.add_parser(verb, help=report.help)
         p.add_argument("--manifest", required=True, help="dataset manifest path")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=tuple(rpt.RENDERERS), default="text")
+        p.add_argument("--format", choices=FORMATS, default="text")
         for flag, options in report.options:
             p.add_argument(flag, **options)
 
@@ -50,6 +67,11 @@ def _run(args: argparse.Namespace) -> str:
         paths = write_demo_dataset(args.out, seed=args.seed, n_nodes=args.nodes)
         return "".join(f"wrote {p}\n" for p in paths)
 
+    # validate needs only io but imports the report modules too: a lighter
+    # validate waits for a benchmark that reads each verb's own peak RSS
+    # (ROADMAP item 1)
+    from . import report as rpt
+
     if args.command == "validate":
         manifest = load_manifest(args.manifest)
         n_pairs = len(manifest.pairs) if manifest.pairs else 0
@@ -58,7 +80,8 @@ def _run(args: argparse.Namespace) -> str:
             f"attributes={'yes' if manifest.attributes_path else 'no'}\n"
         )
 
-    report = rpt.REPORTS[args.command].run(load_dataset(args.manifest), args)
+    verb = REPORTS[args.command]
+    report = getattr(rpt, verb.function)(load_dataset(args.manifest), **verb.arguments(args))
     return rpt.render(report, args.format)
 
 

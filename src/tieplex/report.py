@@ -5,8 +5,8 @@ a versioned conventions block echoing all computation choices in
 force, the parameters it was run with, a column list, and rows.  JSON
 keeps full precision (NaN becomes null); text and CSV render the same
 numbers, text rounded to a fixed precision.  All output is
-deterministic: identical input gives byte-identical bytes.
-``REPORTS`` is the table of report verbs the command line offers.
+deterministic: identical input gives byte-identical bytes.  The
+command line's verbs name their functions here (``verbs.REPORTS``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import math
 import re
 from importlib import resources
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .crosslayer import attribute_metrics, cross_layer_averages
 from .errors import InvalidParameter, MissingAttributes
@@ -28,6 +28,7 @@ from .structure import (
     wedge_closure,
 )
 from .synth import DEMO_PAIRS
+from .verbs import FORMATS
 
 TEXT_PRECISION = 4
 
@@ -197,71 +198,6 @@ def attribute_report(dataset: LoadedDataset, layer: str) -> dict:
     return _base("attributes", {"layer": layer}, columns, rows, baseline=baseline)
 
 
-def _parse_pairs(text: str) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise InvalidParameter(f"bad pair '{chunk}': expected 'alpha:beta'")
-        pairs.append((parts[0], parts[1]))
-    return pairs
-
-
-class ReportVerb(NamedTuple):
-    """One report verb of the command line.
-
-    ``options`` are the ``add_argument`` calls beyond the shared
-    ``--manifest``/``--out``/``--format``; ``run`` makes the report from a
-    loaded dataset and the parsed arguments.
-    """
-
-    help: str
-    options: tuple[tuple[str, dict], ...]
-    run: Callable[[LoadedDataset, Any], dict]
-
-
-# Each ``run`` looks its ``*_report`` function up when called, so a
-# rebound module global (a tracer's wrapper, say) is the one that runs.
-REPORTS: dict[str, ReportVerb] = {
-    "summary": ReportVerb("structural summary per layer", (), lambda ds, args: summary_report(ds)),
-    "endogenous": ReportVerb(
-        "reciprocity and closure averages per layer", (), lambda ds, args: endogenous_report(ds)
-    ),
-    "cross": ReportVerb(
-        "cross-layer averages per ordered pair",
-        (("--pairs", {"help": "override pair list, e.g. 'a:b,b:a'"}),),
-        lambda ds, args: cross_report(ds, None if args.pairs is None else _parse_pairs(args.pairs)),
-    ),
-    "equiv": ReportVerb(
-        "structural-equivalence classes of one layer",
-        (
-            ("--layer", {"required": True}),
-            ("--tolerance", {"type": float, "default": 0.0}),
-            ("--dout", {"type": int, "help": "restrict to this out-degree"}),
-            ("--din", {"type": int, "help": "restrict to this in-degree"}),
-        ),
-        lambda ds, args: equivalence_report(
-            ds, args.layer, tolerance=args.tolerance, out_degree=args.dout, in_degree=args.din
-        ),
-    ),
-    "wedges": ReportVerb(
-        "wedge closure of one layer by others",
-        (
-            ("--wedge-layer", {"required": True}),
-            ("--closing-layers", {"help": "comma list (default: all basic layers)"}),
-        ),
-        lambda ds, args: wedge_report(
-            ds, args.wedge_layer, None if args.closing_layers is None else args.closing_layers.split(",")
-        ),
-    ),
-    "attrs": ReportVerb(
-        "attribute similarity along one layer's ties",
-        (("--layer", {"required": True}),),
-        lambda ds, args: attribute_report(ds, args.layer),
-    ),
-}
-
-
 def _json_safe(value):
     if isinstance(value, float) and math.isnan(value):
         return None
@@ -363,7 +299,7 @@ def _quote_csv(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"' if _CSV_QUOTED.search(cell) else cell
 
 
-RENDERERS = {"json": render_json, "text": render_text, "csv": render_csv}
+RENDERERS = dict(zip(FORMATS, (render_json, render_text, render_csv)))
 
 
 def render(report: dict, fmt: str) -> str:

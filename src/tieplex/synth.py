@@ -26,11 +26,14 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .crosslayer import AttributeTable
 from .errors import InvalidParameter
-from .graph import LayerSpec, MultiplexGraph, build_graph
+from .layers import LayerSpec
+
+if TYPE_CHECKING:
+    from .crosslayer import AttributeTable
+    from .graph import MultiplexGraph
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,10 @@ def generate_synthetic(
     Identical arguments give identical output on every platform; see
     the module docstring for the fixed draw scheme.
     """
+    # imported here, not at module level: they load numpy, and write_demo_dataset needs neither
+    from .crosslayer import AttributeTable
+    from .graph import build_graph
+
     _validate(n_nodes, layers)
     rng = random.Random(seed)
     labels = node_labels(n_nodes)

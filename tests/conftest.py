@@ -14,7 +14,7 @@ from tieplex import (
 
 
 # Every report verb with the arguments it requires, each layer argument
-# naming a layer called "all"; test_report_cli checks it against report.REPORTS.
+# naming a layer called "all"; test_report_cli checks it against verbs.REPORTS.
 REPORT_VERBS = (
     ["summary"],
     ["endogenous"],

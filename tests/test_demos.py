@@ -1,4 +1,4 @@
-"""Every narrative demo runs to completion without writing to stderr."""
+"""Every narrative demo runs to completion without writing to stderr or leaving a temporary directory."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_clean(demo, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    # 06_pipeline.py writes its dataset under mkdtemp()
+    # 06_pipeline.py writes its dataset to a temporary directory, which it must remove
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
@@ -22,3 +22,4 @@ def test_demo_runs_clean(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+    assert list(tmp_path.glob("tieplex-demo-*")) == []

@@ -17,6 +17,7 @@ from tieplex import (
     UnknownLayer,
     UnknownNode,
     build_graph,
+    graph,
     synth,
 )
 
@@ -148,18 +149,18 @@ def test_demo_graph_holds_two_csrs_per_layer(monkeypatch):
     # about 8.8 B per stored tie here; a third, undirected CSR would add
     # about 6.5 B more
     held = []
-    build = synth.build_graph
+    build = graph.build_graph
 
     def measured_build(*args):
         tracemalloc.start()
         try:
-            graph = build(*args)
+            built = build(*args)
             held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        return graph
+        return built
 
-    monkeypatch.setattr(synth, "build_graph", measured_build)
+    monkeypatch.setattr(graph, "build_graph", measured_build)  # generate_synthetic imports it per call
     g, _ = synth.generate_synthetic(3, 260, synth.DEMO_LAYERS, synth.DEMO_AGGREGATES)
     stored = sum(g.view(name).n_edges for name in g.layer_names)
     assert held[0] / stored <= 10

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -15,9 +16,8 @@ from hypothesis import strategies as st
 
 import tieplex.report
 from tieplex import load_dataset, write_demo_dataset
-from tieplex.cli import main
+from tieplex.cli import build_parser, main
 from tieplex.report import (
-    REPORTS,
     attribute_report,
     cross_report,
     endogenous_report,
@@ -29,6 +29,7 @@ from tieplex.report import (
     summary_report,
     wedge_report,
 )
+from tieplex.verbs import REPORTS
 
 from conftest import REPORT_VERBS
 
@@ -375,6 +376,58 @@ def test_cli_equiv_negative_degree_exit_2(capsys, flag, name):
 def test_report_verbs_list_every_report():
     # a verb missing here would skip the exit-code fuzz and the empty-graph test
     assert {verb[0] for verb in REPORT_VERBS} == set(REPORTS)
+
+
+_HELP = (("-h", "--help"), "help", "==SUPPRESS==", False, None, None)
+_REPORT_OPTIONS = (
+    _HELP,
+    (("--manifest",), "manifest", None, True, None, None),
+    (("--out",), "out", None, False, None, None),
+    (("--format",), "format", "text", False, ("json", "text", "csv"), None),
+)
+# Every verb in order, each with its actions as (option strings, dest,
+# default, required, choices, type name); help texts are left out, as
+# argparse words them differently across Python versions
+CLI_SURFACE = {
+    "summary": _REPORT_OPTIONS,
+    "endogenous": _REPORT_OPTIONS,
+    "cross": _REPORT_OPTIONS + ((("--pairs",), "pairs", None, False, None, None),),
+    "equiv": _REPORT_OPTIONS + (
+        (("--layer",), "layer", None, True, None, None),
+        (("--tolerance",), "tolerance", 0.0, False, None, "float"),
+        (("--dout",), "dout", None, False, None, "int"),
+        (("--din",), "din", None, False, None, "int"),
+    ),
+    "wedges": _REPORT_OPTIONS + (
+        (("--wedge-layer",), "wedge_layer", None, True, None, None),
+        (("--closing-layers",), "closing_layers", None, False, None, None),
+    ),
+    "attrs": _REPORT_OPTIONS + ((("--layer",), "layer", None, True, None, None),),
+    "generate": (
+        _HELP,
+        (("--out",), "out", None, True, None, None),
+        (("--seed",), "seed", 42, False, None, "int"),
+        (("--nodes",), "nodes", 60, False, None, "int"),
+    ),
+    "validate": (_HELP, (("--manifest",), "manifest", None, True, None, None)),
+}
+
+
+def test_cli_surface_is_unchanged():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        verb: tuple(
+            (
+                tuple(a.option_strings), a.dest, a.default, a.required,
+                None if a.choices is None else tuple(a.choices),
+                None if a.type is None else a.type.__name__,
+            )
+            for a in parser._actions
+        )
+        for verb, parser in sub.choices.items()
+    }
+    assert list(surface) == list(CLI_SURFACE)
+    assert surface == CLI_SURFACE
 
 
 @pytest.mark.parametrize(

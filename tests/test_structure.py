@@ -30,10 +30,10 @@ from tieplex import (
     path_stats,
     strongly_connected_components,
     structural_equivalence,
-    synth,
     wedge_closure,
     write_demo_dataset,
 )
+from tieplex import graph as tieplex_graph
 from tieplex import io as tieplex_io
 from tieplex import kernels
 
@@ -255,7 +255,7 @@ def test_assortativities_equal_edge_loop_bitwise(monkeypatch, tmp_path):
     # each build's inputs are captured to rebuild its rows by the set-based
     # build, so the loop shares no adjacency with the library
     builds = []
-    build = synth.build_graph
+    build = tieplex_graph.build_graph
 
     def capture(nodes, specs, edges):
         edges = list(edges)  # load_dataset passes its edge-file chunks as a one-pass generator
@@ -263,7 +263,7 @@ def test_assortativities_equal_edge_loop_bitwise(monkeypatch, tmp_path):
         builds.append((nodes, specs, rows))
         return build(nodes, specs, edges)
 
-    monkeypatch.setattr(synth, "build_graph", capture)
+    monkeypatch.setattr(tieplex_graph, "build_graph", capture)  # generate_synthetic imports it per call
     monkeypatch.setattr(tieplex_io, "build_graph", capture)
 
     def graphs():
