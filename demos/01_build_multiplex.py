@@ -55,4 +55,5 @@ for label in students:
 print()
 
 print("ema is isolated but remains a member of every layer's vertex set:")
-print(f"  degree in 'all': out={view.out_degree(g.node_id('ema'))}, in={view.in_degree(g.node_id('ema'))}")
+ema = g.node_id("ema")
+print(f"  degree in 'all': out={view.out.degrees()[ema]}, in={view.inn.degrees()[ema]}")

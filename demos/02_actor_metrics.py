@@ -13,12 +13,12 @@ def show(view, title):
     print(title)
     print(f"  {'node':4s} {'dout':>4s} {'din':>4s} {'rec':>4s} {'recip':>6s} {'cyc':>4s} {'cyclo':>6s} {'plt':>4s} {'trilo':>6s}")
     lm = layer_metrics(view)
-    for a in lm.actors:
+    for i in range(view.n_nodes):
         print(
-            f"  {a.node:<4d} {a.out_degree:>4d} {a.in_degree:>4d}"
-            f" {a.reciprocated:>4d} {a.reciprocity:>6.3f}"
-            f" {a.three_cycles:>4d} {a.cycle_closure:>6.3f}"
-            f" {a.triplets:>4d} {a.triplet_closure:>6.3f}"
+            f"  {i:<4d} {lm.out_degree[i]:>4d} {lm.in_degree[i]:>4d}"
+            f" {lm.reciprocated[i]:>4d} {lm.reciprocity[i]:>6.3f}"
+            f" {lm.three_cycles[i]:>4d} {lm.cycle_closure[i]:>6.3f}"
+            f" {lm.triplets[i]:>4d} {lm.triplet_closure[i]:>6.3f}"
         )
     print(f"  layer averages: reciprocity={lm.avg_reciprocity:.3f}"
           f" cycle_closure={lm.avg_cycle_closure:.3f}"
@@ -53,4 +53,4 @@ show(dyad(), "mutual dyad 0<->1: full reciprocity, no triads")
 # triplet_closure of node 0 on the transitive triplet, by hand:
 # successors of 0 are {1, 2}; compare with out(1)={2} -> J = 1/2,
 # and with out(2)={} -> J = 0; average over out-degree 2 gives 0.25.
-print(f"hand check, triplet fixture node 0: {layer_metrics(triplet()).actors[0].triplet_closure} == 0.25")
+print(f"hand check, triplet fixture node 0: {layer_metrics(triplet()).triplet_closure[0].item()} == 0.25")

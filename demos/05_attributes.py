@@ -41,13 +41,13 @@ g = build_graph(
     ],
 )
 
-records, baseline = attribute_metrics(g, "friend", table)
+m = attribute_metrics(g, "friend", table)
 print("tie-weighted similarity per node on the 'friend' layer:")
-for r in records:
-    print(f"  {g.node_label(r.node):6s} out={r.out_similarity:.3f} in={r.in_similarity:.3f}")
-print(f"unnetworked baseline: {baseline:.3f}")
+for label, out, inn in zip(g.labels, m.out_similarity, m.in_similarity):
+    print(f"  {label:6s} out={out:.3f} in={inn:.3f}")
+print(f"unnetworked baseline: {m.baseline:.3f}")
 print()
 
-above = [g.node_label(r.node) for r in records if r.out_similarity > baseline]
+above = [label for label, out in zip(g.labels, m.out_similarity) if out > m.baseline]
 print(f"nodes whose named friends are more similar than chance: {above}")
 print(f"baseline ignores edges entirely: {unnetworked_similarity(labels, table):.3f}")

@@ -33,7 +33,7 @@ _MODULES = {
         "load_manifest", "manifest_from_dict", "parse_attributes", "parse_edges", "parse_nodes",
     ),
     "layers": ("LayerSpec",),
-    "metrics": ("ActorMetrics", "JaccardConvention", "LayerMetrics", "jaccard", "layer_metrics"),
+    "metrics": ("LayerMetrics", "jaccard", "layer_metrics"),
     "structure": (
         "EquivalenceClass", "LayerSummary", "PathStats", "WedgeReport", "degree_assortativity",
         "directed_degree_assortativity", "induced_edge_count", "largest_scc", "layer_summary",

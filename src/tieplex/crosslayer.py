@@ -148,14 +148,18 @@ class AttributeTable:
         return f"AttributeTable({len(self._tokens)} nodes)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttributeMetrics:
-    """Attribute-similarity record of one actor on one layer."""
+    """Tie-weighted attribute similarity on one layer, one read-only float64 column per direction.
 
-    node: int
+    Entry ``i`` of every column belongs to node ``i``; ``baseline`` is
+    the layer-free :func:`unnetworked_similarity`.
+    """
+
     layer: str
-    out_similarity: float
-    in_similarity: float
+    baseline: float
+    out_similarity: np.ndarray = field(repr=False)
+    in_similarity: np.ndarray = field(repr=False)
 
 
 def _token_classes(labels: Iterable[str], table: AttributeTable) -> tuple[np.ndarray, list[frozenset[str]]]:
@@ -194,9 +198,7 @@ def unnetworked_similarity(labels: Iterable[str], table: AttributeTable) -> floa
     return exact / scale / pairs
 
 
-def attribute_metrics(
-    g: MultiplexGraph, layer: str, table: AttributeTable
-) -> tuple[tuple[AttributeMetrics, ...], float]:
+def attribute_metrics(g: MultiplexGraph, layer: str, table: AttributeTable) -> AttributeMetrics:
     """Per-node tie-weighted attribute similarities plus the unnetworked baseline.
 
     ``out_similarity`` averages similarity with the nodes i names as
@@ -213,6 +215,7 @@ def attribute_metrics(
         pair_keys, inverse = np.unique(classes[csr.row_ids()] * k + classes[csr.indices], return_inverse=True)
         mine, theirs = np.divmod(pair_keys, k)
         terms = [jaccard(token_sets[x], token_sets[y]) for x, y in zip(mine.tolist(), theirs.tolist())]
-        similarity.append(row_means(np.array(terms, dtype=np.float64)[inverse], csr.indptr).tolist())
-    records = tuple(AttributeMetrics(i, layer, *row) for i, row in enumerate(zip(*similarity)))
-    return records, unnetworked_similarity(g.labels, table)
+        column = row_means(np.array(terms, dtype=np.float64)[inverse], csr.indptr)
+        column.setflags(write=False)
+        similarity.append(column)
+    return AttributeMetrics(layer, unnetworked_similarity(g.labels, table), *similarity)

@@ -72,8 +72,10 @@ class LayerView:
 
     ``out`` holds each node's successors and ``inn`` its predecessors;
     node ids are dense and every row is sorted.  Invariants: ``inn`` is
-    the transpose of ``out``, and each holds ``n_edges`` entries.  The
-    undirected projection (out ∪ in) is derived where it is read.
+    the transpose of ``out``, and each holds ``n_edges`` entries, so the
+    out- and in-degrees of every node are ``out.degrees()`` and
+    ``inn.degrees()``.  The undirected projection (out ∪ in) is derived
+    where it is read.
 
     ``keys`` are the layer's ties ``i * n_nodes + j``, sorted and
     unique.
@@ -96,16 +98,6 @@ class LayerView:
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
             raise UnknownNode(f"node id {i} out of range for layer '{self.name}'")
-
-    def _row(self, csr: CSR, i: int) -> np.ndarray:
-        self._check(i)
-        return csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
-
-    def out_degree(self, i: int) -> int:
-        return len(self._row(self.out, i))
-
-    def in_degree(self, i: int) -> int:
-        return len(self._row(self.inn, i))
 
 
 class MultiplexGraph:

@@ -186,8 +186,7 @@ def jaccard_terms(inter: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> 
     """Elementwise ``inter / (size_a + size_b - inter)``, 0 where both sets are empty.
 
     One float64 division of exact integers per term, so each term is
-    bitwise equal to :func:`tieplex.metrics.jaccard` under the metric
-    convention.
+    bitwise equal to :func:`tieplex.metrics.jaccard`.
     """
     union = size_a + size_b - inter
     terms = np.zeros(len(inter), dtype=np.float64)

@@ -5,17 +5,13 @@ index.  Reciprocity compares an actor's successors with its
 predecessors; the two closure scores average neighbor-set similarity
 over predecessors (cycle closure) or successors (triplet closure).
 
-All network metrics use the metric convention for the degenerate
-both-empty case (similarity 0: an actor with no ties closes nothing);
-the pure set-theoretic convention (similarity 1) stays available as an
-explicit option of :func:`jaccard`.
+Two empty sets have similarity 0, not the 1 of the plain set
+definition: an actor with no ties closes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,58 +20,22 @@ from .graph import LayerView
 from .kernels import CSR, intersection_counts, jaccard_terms, row_intersections, row_means
 
 
-class JaccardConvention(Enum):
-    """Value of J(A, B) when both sets are empty."""
-
-    PURE = "pure"      # 1.0, the plain set definition
-    METRIC = "metric"  # 0.0, used by all network metrics here
-
-
-def jaccard(
-    a: frozenset | set,
-    b: frozenset | set,
-    convention: JaccardConvention = JaccardConvention.METRIC,
-) -> float:
-    """Set similarity: intersection size over union size, in [0, 1].
-
-    The both-empty case is governed by ``convention``; every other case
-    is the plain ratio.
-    """
+def jaccard(a: frozenset | set, b: frozenset | set) -> float:
+    """Set similarity: intersection size over union size, in [0, 1]; 0 for two empty sets."""
     if not a and not b:
-        return 1.0 if convention is JaccardConvention.PURE else 0.0
+        return 0.0
     inter = len(a & b)
     return inter / (len(a) + len(b) - inter)
-
-
-@dataclass(frozen=True)
-class ActorMetrics:
-    """Per-actor record for one layer.
-
-    Raw counts sit next to their normalized versions: ``reciprocity``
-    is the Jaccard similarity of successor and predecessor sets,
-    ``cycle_closure`` and ``triplet_closure`` are the degree-normalized
-    Jaccard sums behind three-cycle and transitive-triplet embedding.
-    """
-
-    node: int
-    out_degree: int
-    in_degree: int
-    reciprocated: int
-    reciprocity: float
-    three_cycles: int
-    cycle_closure: float
-    triplets: int
-    triplet_closure: float
 
 
 @dataclass(frozen=True, eq=False)
 class LayerMetrics:
     """All actor metrics of a layer, one numpy column per field, plus whole-layer averages.
 
-    Entry ``i`` of every column belongs to node ``i``.  Averages divide
-    by the full node count, so isolates contribute 0 and averages stay
-    comparable across layers of one multiplex.  The per-actor records
-    are built on first access to :attr:`actors`.
+    Entry ``i`` of every column belongs to node ``i``; the columns are
+    read-only.  Averages divide by the full node count, so isolates
+    contribute 0 and averages stay comparable across layers of one
+    multiplex.
     """
 
     layer: str
@@ -90,23 +50,6 @@ class LayerMetrics:
     cycle_closure: np.ndarray = field(repr=False)
     triplets: np.ndarray = field(repr=False)
     triplet_closure: np.ndarray = field(repr=False)
-
-    @cached_property
-    def actors(self) -> tuple[ActorMetrics, ...]:
-        """One :class:`ActorMetrics` per node, in node order."""
-        columns = (
-            self.out_degree, self.in_degree, self.reciprocated, self.reciprocity,
-            self.three_cycles, self.cycle_closure, self.triplets, self.triplet_closure,
-        )
-        return tuple(ActorMetrics(i, *row) for i, row in enumerate(zip(*(c.tolist() for c in columns))))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LayerMetrics):
-            return NotImplemented
-        compared = ("layer", "avg_reciprocity", "avg_cycle_closure", "avg_triplet_closure", "actors")
-        return all(getattr(self, name) == getattr(other, name) for name in compared)
-
-    __hash__ = None
 
 
 def layer_metrics(view: LayerView) -> LayerMetrics:
@@ -133,7 +76,6 @@ def layer_metrics(view: LayerView) -> LayerMetrics:
         triplet_closure=triplet,
     )
     for column in columns.values():
-        # read-only, so the columns stay in step with the cached records
         column.setflags(write=False)
     return LayerMetrics(
         layer=view.name,

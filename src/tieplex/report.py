@@ -62,15 +62,11 @@ def _base(report_name: str, parameters: dict, columns: Sequence[str], rows: list
 def _rows(columns: Sequence[str], records: Iterable, **renames) -> list[dict]:
     """One row per record, each column read off the record attribute of that name.
 
-    ``renames`` maps a column to another attribute name, or to a
-    function of the record for a cell no attribute holds.  ``records`` is
+    ``renames`` maps a column to another attribute name.  ``records`` is
     iterated once, so a generator frees each record after its row.
     """
     cells = [(c, renames.get(c, c)) for c in columns]
-    return [
-        {c: cell(r) if callable(cell) else getattr(r, cell) for c, cell in cells}
-        for r in records
-    ]
+    return [{c: getattr(r, cell) for c, cell in cells} for r in records]
 
 
 def summary_report(dataset: LoadedDataset) -> dict:
@@ -149,8 +145,11 @@ def equivalence_report(
     """Structural equivalence classes of ``layer``, each listing its member labels joined by ``;``.
 
     Raises :class:`InvalidParameter` if a member label holds ``;``,
-    which would read as two members.
+    which would read as two members, or if ``tolerance`` is infinite,
+    which the ``tolerance`` parameter of a JSON report cannot hold.
     """
+    if math.isinf(tolerance):  # structural_equivalence refuses NaN and negative values
+        raise InvalidParameter(f"tolerance must be finite, got {tolerance!r}")
     g = dataset.graph
     classes = structural_equivalence(
         g.view(layer), tolerance=tolerance, out_degree=out_degree, in_degree=in_degree
@@ -192,10 +191,13 @@ def attribute_report(dataset: LoadedDataset, layer: str) -> dict:
     if dataset.attributes is None:
         raise MissingAttributes("dataset has no attribute file")
     g = dataset.graph
-    records, baseline = attribute_metrics(g, layer, dataset.attributes)
+    m = attribute_metrics(g, layer, dataset.attributes)
     columns = ["node", "layer", "out_similarity", "in_similarity"]
-    rows = _rows(columns, records, node=lambda r: g.node_label(r.node))
-    return _base("attributes", {"layer": layer}, columns, rows, baseline=baseline)
+    rows = [
+        dict(zip(columns, (label, layer, out, inn)))
+        for label, out, inn in zip(g.labels, m.out_similarity.tolist(), m.in_similarity.tolist())
+    ]
+    return _base("attributes", {"layer": layer}, columns, rows, baseline=m.baseline)
 
 
 def _json_safe(value):

@@ -357,7 +357,8 @@ def wedge_closure(
     (center, pair).  A closing layer closes a wedge when it holds a
     directed edge between the endpoints in either direction.  The
     ``"any"`` entry counts wedges closed by at least one closing layer.
-    A closing layer listed twice raises :class:`InvalidParameter`.
+    A closing layer listed twice, or named ``"any"``, raises
+    :class:`InvalidParameter`.
     """
     wedge_view = g.view(wedge_layer)
     names = list(closing_layers)
@@ -365,6 +366,10 @@ def wedge_closure(
     for name in names:
         if names.count(name) > 1:
             raise InvalidParameter(f"closing layer '{name}' is listed more than once")
+    if "any" in names:
+        raise InvalidParameter(
+            "closing layer 'any' clashes with the 'any' entry, which counts wedges closed by at least one closing layer"
+        )
     n = g.n_nodes
     wedge = _undirected(wedge_view)
     degree = wedge.degrees()

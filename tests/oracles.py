@@ -3,9 +3,8 @@
 Everything here evaluates the defining formulas literally on adjacency
 matrices (triple loops, matrix closure, explicit correlation sums) and
 shares no code with the library paths it checks; only the
-``ActorMetrics``, ``EquivalenceClass``, ``PathStats`` and
-``EdgeRecord`` record types, the error classes and the layer
-declaration check are imported.  The set-based per-actor functions
+``EquivalenceClass``, ``PathStats`` and ``EdgeRecord`` record types,
+the error classes and the layer declaration check are imported.  The set-based per-actor functions
 (``reciprocity``, ``cycle_closure``, ``cross_layer_table``, ...) are
 the reference that the columnar metric kernels replaced, and the
 matrix forms of the same metrics carry a ``matrix_`` prefix where the
@@ -35,7 +34,6 @@ from tieplex.errors import (
 )
 from tieplex.graph import EdgeRecord, check_layers
 from tieplex.io import BucketRule
-from tieplex.metrics import ActorMetrics
 from tieplex.structure import EquivalenceClass, PathStats
 
 
@@ -247,12 +245,26 @@ def triplet_closure(view, i) -> float:
     return _mean_jaccard(out_set(view, i), out_set(view, i), lambda j: out_set(view, j))
 
 
+class ActorMetrics(NamedTuple):
+    """All single-layer metrics of one actor: the fields of a ``layer_metrics`` column set at one node."""
+
+    node: int
+    out_degree: int
+    in_degree: int
+    reciprocated: int
+    reciprocity: float
+    three_cycles: int
+    cycle_closure: float
+    triplets: int
+    triplet_closure: float
+
+
 def actor_metrics(view, i) -> ActorMetrics:
     """All single-layer metrics of one actor."""
     return ActorMetrics(
         node=i,
-        out_degree=view.out_degree(i),
-        in_degree=view.in_degree(i),
+        out_degree=len(out_set(view, i)),
+        in_degree=len(in_set(view, i)),
         reciprocated=reciprocated_count(view, i),
         reciprocity=reciprocity(view, i),
         three_cycles=three_cycle_count(view, i),
@@ -323,6 +335,19 @@ def attribute_similarity(table, a, b) -> float:
     return jaccard(table.tokens(a), table.tokens(b))
 
 
+def attribute_similarities(g, layer, table, i) -> tuple[float, float]:
+    """Mean ``attribute_similarity`` of ``i`` with its successors and with its predecessors in ``layer``.
+
+    Each mean is ``math.fsum`` of the terms over their number, 0 for none.
+    """
+    labels, view = g.labels, g.view(layer)
+    return tuple(
+        math.fsum(attribute_similarity(table, labels[i], labels[j]) for j in neighbours) / len(neighbours)
+        if neighbours else 0.0
+        for neighbours in (out_set(view, i), in_set(view, i))
+    )
+
+
 def attr_out(x, tokens: list[frozenset], i) -> float:
     n = len(x)
     dout = out_degree(x, i)
@@ -362,7 +387,7 @@ def attr_baseline_fsum(tokens: list[frozenset]) -> float:
 def equivalence_greedy(actors, tolerance: float, out_degree=None, in_degree=None) -> list[EquivalenceClass]:
     """Greedy grouping by ascending node id, checking each candidate against every member.
 
-    ``actors`` are the per-node records of ``layer_metrics``.
+    ``actors`` are :class:`ActorMetrics` records, one per node in node order.
     """
     remaining = [
         a

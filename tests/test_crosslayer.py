@@ -19,6 +19,7 @@ from tieplex import (
     cross_layer_metrics,
     generate_synthetic,
     jaccard,
+    layer_metrics,
     load_dataset,
     parse_attributes,
     unnetworked_similarity,
@@ -89,6 +90,33 @@ def test_cross_layer_metrics_columns_are_read_only_float64():
     assert m.reciprocity.tolist() == [oracles.cross_reciprocity(g, "a", "b", i) for i in range(3)]
 
 
+def test_every_per_actor_column_is_read_only_of_length_n_and_equals_the_oracle():
+    dataset = load_dataset(DATA / "manifest.json")
+    g, table, n = dataset.graph, dataset.attributes, dataset.graph.n_nodes
+    columns = []  # (where, column, the oracle's value at every node)
+    for layer in g.layer_names:
+        view = g.view(layer)
+        lm = layer_metrics(view)
+        actors = [oracles.actor_metrics(view, i) for i in range(n)]
+        fields = oracles.ActorMetrics._fields[1:]
+        columns += [((layer, f), getattr(lm, f), [getattr(a, f) for a in actors]) for f in fields]
+        m = attribute_metrics(g, layer, table)
+        out, inn = zip(*(oracles.attribute_similarities(g, layer, table, i) for i in range(n)))
+        columns += [((layer, "out_similarity"), m.out_similarity, list(out))]
+        columns += [((layer, "in_similarity"), m.in_similarity, list(inn))]
+    fields = oracles.CrossLayerRecord._fields[3:]
+    for alpha, beta in dataset.manifest.pairs:
+        m = cross_layer_metrics(g, alpha, beta)
+        records = oracles.cross_layer_table(g, alpha, beta)
+        columns += [((alpha, beta, f), getattr(m, f), [getattr(r, f) for r in records]) for f in fields]
+    assert len(columns) == 9 * (8 + 2) + 12 * 5
+    for where, column, expected in columns:
+        assert len(column) == n, where
+        with pytest.raises(ValueError):
+            column[0] = 0
+        assert column.tolist() == expected, where
+
+
 def test_attribute_similarity():
     table = AttributeTable({"1": {"gender:F", "dept:CS"}, "2": {"gender:F", "dept:EE"}})
     for similarity in (attribute_similarity, lambda t, a, b: jaccard(t.tokens(a), t.tokens(b))):
@@ -100,49 +128,35 @@ def test_attribute_similarity():
 def test_attribute_metrics_single_edge():
     g = build_graph(["1", "2"], [LayerSpec.basic("L")], [("1", "2", "L")])
     table = AttributeTable({"1": {"gender:F", "dept:CS"}, "2": {"gender:F", "dept:EE"}})
-    records, baseline = attribute_metrics(g, "L", table)
-    assert records[0].out_similarity == 1 / 3
-    assert records[1].in_similarity == 1 / 3
-    assert records[0].in_similarity == 0.0
-    assert baseline == 1 / 3
+    m = attribute_metrics(g, "L", table)
+    assert m.out_similarity[0] == 1 / 3
+    assert m.in_similarity[1] == 1 / 3
+    assert m.in_similarity[0] == 0.0
+    assert m.baseline == 1 / 3
 
 
 def test_attribute_metrics_uniform_and_empty_layer():
     labels = ["1", "2", "3"]
     table = AttributeTable({x: {"k:v"} for x in labels})
     g = build_graph(labels, [LayerSpec.basic("L")], [("1", "2", "L"), ("2", "3", "L")])
-    records, baseline = attribute_metrics(g, "L", table)
-    assert baseline == 1.0
-    assert records[0].out_similarity == 1.0
+    m = attribute_metrics(g, "L", table)
+    assert m.baseline == 1.0
+    assert m.out_similarity[0] == 1.0
 
     empty = build_graph(labels, [LayerSpec.basic("L")], [])
-    records, baseline = attribute_metrics(empty, "L", table)
-    assert all(r.out_similarity == 0.0 and r.in_similarity == 0.0 for r in records)
-    assert baseline == 1.0  # baseline ignores the edges
+    m = attribute_metrics(empty, "L", table)
+    assert m.out_similarity.tolist() == m.in_similarity.tolist() == [0.0] * 3
+    assert m.baseline == 1.0  # baseline ignores the edges
 
 
 def check_attribute_metrics_match_set_reference(g, table):
-    """``attribute_metrics`` on every layer equals the per-actor set reference bit for bit.
-
-    The reference averages ``attribute_similarity`` over each node's
-    successors (out) and predecessors (in) with ``math.fsum``, and is 0
-    for a node without such neighbours.
-    """
-    labels = g.labels
-
-    def mean_similarity(i, neighbours):
-        if not neighbours:
-            return 0.0
-        return math.fsum(attribute_similarity(table, labels[i], labels[j]) for j in neighbours) / len(neighbours)
-
+    """``attribute_metrics`` on every layer equals the per-actor set reference bit for bit."""
     for layer in g.layer_names:
-        view = g.view(layer)
-        records, baseline = attribute_metrics(g, layer, table)
-        assert baseline == unnetworked_similarity(labels, table)
-        assert [(r.node, r.layer) for r in records] == [(i, layer) for i in range(g.n_nodes)]
-        for i, record in enumerate(records):
-            assert record.out_similarity == mean_similarity(i, oracles.out_set(view, i))
-            assert record.in_similarity == mean_similarity(i, oracles.in_set(view, i))
+        m = attribute_metrics(g, layer, table)
+        assert m.layer == layer
+        assert m.baseline == unnetworked_similarity(g.labels, table)
+        expected = [oracles.attribute_similarities(g, layer, table, i) for i in range(g.n_nodes)]
+        assert list(zip(m.out_similarity.tolist(), m.in_similarity.tolist())) == expected
 
 
 def test_attribute_metrics_match_set_reference_bitwise_on_demo():

@@ -2,11 +2,11 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 import oracles
 from tieplex import (
-    JaccardConvention,
     LayerParams,
     generate_synthetic,
     jaccard,
@@ -26,9 +26,7 @@ triplet_closure = actor_column("triplet_closure")
 
 def test_jaccard_examples():
     assert jaccard({2, 3}, {2}) == 0.5
-    assert jaccard(set(), set(), JaccardConvention.PURE) == 1.0
-    assert jaccard(set(), set(), JaccardConvention.METRIC) == 0.0
-    assert jaccard(set(), set()) == 0.0  # metric is the default
+    assert jaccard(set(), set()) == 0.0
     assert jaccard({1}, {2}) == 0.0
 
 
@@ -105,18 +103,17 @@ def test_layer_metrics_columns_are_read_only(three_cycle):
                    lm.three_cycles, lm.cycle_closure, lm.triplets, lm.triplet_closure):
         with pytest.raises(ValueError):
             column[0] = 0
-    assert lm.actors[0].cycle_closure == 1.0
+    assert lm.cycle_closure[0] == 1.0
 
 
 def test_actor_metric_bounds():
     g, _ = generate_synthetic(7, 12, [LayerParams("L", 0.3, 0.4)])
-    for a in layer_metrics(g.view("L")).actors:
-        assert a.reciprocated <= min(a.out_degree, a.in_degree)
-        assert 0.0 <= a.reciprocity <= 1.0
-        assert 0.0 <= a.cycle_closure <= 1.0
-        assert 0.0 <= a.triplet_closure <= 1.0
-        assert a.three_cycles <= a.in_degree * a.out_degree
-        assert a.triplets <= a.out_degree * max(a.out_degree - 1, 0)
+    lm = layer_metrics(g.view("L"))
+    assert (lm.reciprocated <= np.minimum(lm.out_degree, lm.in_degree)).all()
+    for column in (lm.reciprocity, lm.cycle_closure, lm.triplet_closure):
+        assert ((0.0 <= column) & (column <= 1.0)).all()
+    assert (lm.three_cycles <= lm.in_degree * lm.out_degree).all()
+    assert (lm.triplets <= lm.out_degree * np.maximum(lm.out_degree - 1, 0)).all()
 
 
 sets_of_ints = st.frozensets(st.integers(0, 20), max_size=8)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import shutil
 import time
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tieplex.report
-from tieplex import load_dataset, write_demo_dataset
+from tieplex import InvalidParameter, load_dataset, write_demo_dataset
 from tieplex.cli import build_parser, main
 from tieplex.report import (
     attribute_report,
@@ -29,7 +30,7 @@ from tieplex.report import (
     summary_report,
     wedge_report,
 )
-from tieplex.verbs import REPORTS
+from tieplex.verbs import FORMATS, REPORTS
 
 from conftest import REPORT_VERBS
 
@@ -123,6 +124,13 @@ def test_equivalence_tolerance_merges_classes(demo):
     strict = equivalence_report(demo, "weak_on", tolerance=0.0)
     loose = equivalence_report(demo, "weak_on", tolerance=0.05)
     assert len(loose["rows"]) < len(strict["rows"])
+
+
+def test_equivalence_report_refuses_infinite_tolerance(demo):
+    # a JSON report cannot hold an infinite tolerance parameter; structural_equivalence still takes it
+    for tolerance in (math.inf, -math.inf):
+        with pytest.raises(InvalidParameter, match="tolerance must be finite"):
+            equivalence_report(demo, "all", tolerance=tolerance)
 
 
 def test_wedge_report_shape(demo):
@@ -466,6 +474,36 @@ def test_cli_reports_on_graph_without_nodes(tmp_path, capsys, verb):
     captured = capsys.readouterr()
     assert captured.err == ""
     jsonschema.validate(json.loads(captured.out), load_report_schema())
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("tolerance", ["inf", "1e400"])
+def test_cli_equiv_infinite_tolerance_exit_2(capsys, tolerance, fmt):
+    code = run_cli(
+        "equiv", "--manifest", str(DATA / "manifest.json"), "--layer", "all",
+        "--tolerance", tolerance, "--format", fmt,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tolerance must be finite, got inf\n"
+    assert captured.out == ""
+
+
+def test_cli_wedges_closing_layer_named_any_exit_2(tmp_path, capsys):
+    # the 'any' row counts wedges closed by any closing layer, so no closing layer may be named 'any'
+    (tmp_path / "nodes.txt").write_text("a\nb\nc\n", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("source,target,layer\na,b,w\nb,c,w\na,c,x\n", encoding="utf-8")
+    layers = [{"name": "w"}, {"name": "any"}, {"name": "x"}]
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"nodes": "nodes.txt", "edges": "edges.csv", "layers": layers}), encoding="utf-8"
+    )
+    # named in --closing-layers, or among the default closing layers, every basic layer
+    for closing in (["--closing-layers", "any,x"], []):
+        code = run_cli("wedges", "--manifest", str(tmp_path / "manifest.json"), "--wedge-layer", "w", *closing)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: closing layer 'any'" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_repeated_closing_layer_exit_2(capsys):

@@ -73,7 +73,8 @@ def test_star_import_and_dir_list_every_public_name():
     assert set(tieplex.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(tieplex, name) for name in tieplex.__all__)
     assert set(tieplex.__all__) <= set(dir(tieplex))
-    assert len(set(tieplex.__all__)) == 60  # the public names before they were resolved lazily
+    # the 60 public names before they were resolved lazily, less ActorMetrics and JaccardConvention
+    assert len(set(tieplex.__all__)) == 58
 
 
 def test_version_unchanged():

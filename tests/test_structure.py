@@ -2,7 +2,6 @@ import functools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,9 +15,11 @@ from tieplex import (
     EdgeColumns,
     InvalidParameter,
     LayerParams,
+    LayerSpec,
     LayerView,
     NotStronglyConnected,
     PathStats,
+    build_graph,
     degree_assortativity,
     directed_degree_assortativity,
     generate_synthetic,
@@ -336,16 +337,11 @@ def test_structural_equivalence_tolerance_merges():
 def test_structural_equivalence_pairwise_within_tolerance():
     g, _ = generate_synthetic(5, 14, [LayerParams("L", 0.3, 0.5)])
     v = g.view("L")
-    from tieplex import layer_metrics
-
-    actors = {a.node: a for a in layer_metrics(v).actors}
+    lm = layer_metrics(v)
     for cls in structural_equivalence(v, 0.1):
-        for m1 in cls.members:
-            for m2 in cls.members:
-                a, b = actors[m1], actors[m2]
-                assert abs(a.reciprocity - b.reciprocity) <= 0.1
-                assert abs(a.cycle_closure - b.cycle_closure) <= 0.1
-                assert abs(a.triplet_closure - b.triplet_closure) <= 0.1
+        for column in (lm.reciprocity, lm.cycle_closure, lm.triplet_closure):
+            values = column[list(cls.members)]
+            assert (np.abs(values[:, None] - values[None, :]) <= 0.1).all()
 
 
 def test_structural_equivalence_degree_filter():
@@ -375,7 +371,7 @@ def test_structural_equivalence_matches_greedy_reference(monkeypatch):
     for g in metric_corpus():
         for name in g.layer_names:
             v = g.view(name)
-            actors = layer_metrics(v).actors
+            actors = tuple(oracles.actor_metrics(v, i) for i in range(v.n_nodes))
             for tolerance in EQUIV_TOLERANCES:
                 for out_degree, in_degree in DEGREE_FILTERS:
                     want = oracles.equivalence_greedy(actors, tolerance, out_degree, in_degree)
@@ -387,13 +383,13 @@ def test_structural_equivalence_matches_greedy_reference_on_rounding_edges(monke
     # (0.3 - 0.2 < 0.1 < 0.8 - 0.7), so the grouping must compare the same
     # rounded differences as the reference to give the same classes.
     v = single([], 60)
-    template = layer_metrics(v).actors[0]
+    template = oracles.actor_metrics(v, 0)
     grid = [k / 10 for k in range(11)]
     for seed in range(30):
         rng = random.Random(seed)
         actors = tuple(
-            replace(
-                template, node=i,
+            template._replace(
+                node=i,
                 reciprocity=rng.choice(grid), cycle_closure=rng.choice(grid), triplet_closure=rng.choice(grid),
             )
             for i in range(60)
@@ -411,13 +407,13 @@ def test_structural_equivalence_tolerance_zero_groups_equal_triples(monkeypatch)
     # subsets; a triple first seen late still orders its class by its
     # smallest member.
     v = single([], 80)
-    template = layer_metrics(v).actors[0]
+    template = oracles.actor_metrics(v, 0)
     grid = [0.0, 0.25, 1 / 3, 0.5, 1.0]
     for seed in range(20):
         rng = random.Random(seed)
         actors = tuple(
-            replace(
-                template, node=i, out_degree=rng.randrange(3), in_degree=rng.randrange(3),
+            template._replace(
+                node=i, out_degree=rng.randrange(3), in_degree=rng.randrange(3),
                 reciprocity=rng.choice(grid), cycle_closure=rng.choice(grid[:seed % 5 + 1]),
                 triplet_closure=rng.choice(grid[:2]),
             )
@@ -439,6 +435,16 @@ def test_wedge_single_closed():
     assert report.pct["b"] == 100.0
     assert report.pct["any"] == 100.0
     assert not report.no_wedges
+
+
+def test_wedge_closing_layer_named_any_rejected():
+    # only x closes the one wedge of w: a closing layer named 'any' would
+    # share its entry with the count of wedges closed by any layer
+    specs = [LayerSpec.basic("w"), LayerSpec.basic("any"), LayerSpec.basic("x")]
+    g = build_graph(["0", "1", "2"], specs, [("0", "1", "w"), ("1", "2", "w"), ("0", "2", "x")])
+    assert wedge_closure(g, "w", ["w", "x"]).closed == {"w": 0, "x": 1, "any": 1}
+    with pytest.raises(InvalidParameter, match="closing layer 'any'"):
+        wedge_closure(g, "w", ["w", "any", "x"])
 
 
 def test_wedge_none_closed():
