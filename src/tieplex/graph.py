@@ -77,8 +77,8 @@ class LayerView:
     ``inn.degrees()``.  The undirected projection (out ∪ in) is derived
     where it is read.
 
-    ``keys`` are the layer's ties ``i * n_nodes + j``, sorted and
-    unique.
+    It is built from ``keys``, the layer's ties ``i * n_nodes + j``,
+    sorted and unique; they are not kept.
     """
 
     __slots__ = ("name", "n_nodes", "n_edges", "out", "inn")

@@ -3,8 +3,9 @@
 Every report is a plain dict with the same skeleton: the report name,
 a versioned conventions block echoing all computation choices in
 force, the parameters it was run with, a column list, and rows.  JSON
-keeps full precision (NaN becomes null); text and CSV render the same
-numbers, text rounded to a fixed precision.  All output is
+keeps full precision and writes a missing value (None) as null; text
+and CSV render the same numbers, text rounded to a fixed precision,
+and a missing value as n/a and an empty cell.  All output is
 deterministic: identical input gives byte-identical bytes.  The
 command line's verbs name their functions here (``verbs.REPORTS``).
 """
@@ -70,7 +71,7 @@ def _rows(columns: Sequence[str], records: Iterable, **renames) -> list[dict]:
 
 
 def summary_report(dataset: LoadedDataset) -> dict:
-    """Structural summary, one row per declared layer."""
+    """Structural summary, one row per declared layer; a degenerate assortativity is None."""
     g = dataset.graph
     columns = [
         "layer", "nodes", "edges", "avg_total_degree", "assortativity",
@@ -78,15 +79,22 @@ def summary_report(dataset: LoadedDataset) -> dict:
     ]
     views = [g.view(name) for name in g.layer_names]
     rows = _rows(columns, (layer_summary(v) for v in views), nodes="n_nodes", edges="n_edges")
+    for row in rows:
+        row["assortativity"] = _or_none(row["assortativity"])
     directed = {
         v.name: {
-            f"{a}_{b}": directed_degree_assortativity(v, a, b)
+            f"{a}_{b}": _or_none(directed_degree_assortativity(v, a, b))
             for a in ("out", "in")
             for b in ("out", "in")
         }
         for v in views
     }
     return _base("summary", {}, columns, rows, details={"directed_assortativity": directed})
+
+
+def _or_none(value: float) -> float | None:
+    """``value``, or None for a NaN: a degenerate assortativity, rendered n/a, an empty cell or null."""
+    return None if math.isnan(value) else value
 
 
 def endogenous_report(dataset: LoadedDataset) -> dict:
@@ -200,22 +208,12 @@ def attribute_report(dataset: LoadedDataset, layer: str) -> dict:
     return _base("attributes", {"layer": layer}, columns, rows, baseline=m.baseline)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    return value
-
-
 def render_json(report: dict) -> str:
-    return json.dumps(_json_safe(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _format_cell(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    if value is None:
         return "n/a"
     return f"{value:.{TEXT_PRECISION}f}" if isinstance(value, float) else str(value)
 
@@ -288,8 +286,6 @@ def render_csv(report: dict) -> str:
 
 def _format_cell_csv(value) -> str:
     if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
         return ""
     return str(value)
 

@@ -270,15 +270,15 @@ def structural_equivalence(
     """Group nodes whose (reciprocity, cycle closure, triplet closure) triples agree.
 
     Classes satisfy the pairwise condition |delta| <= tolerance on all
-    three metrics.  Grouping is a deterministic greedy partition seeded
-    by ascending node id.  At tolerance 0 that is exactly the partition
-    by equal triples, so it is taken as one group-by (``np.unique`` of
-    the triples), the classes ordered by their smallest member.  Above
-    0, one vectorised comparison with each seed picks the only nodes
-    that can join its class, so the Python work grows with those
-    candidates, not with every remaining node.  The optional degree
-    filter restricts grouping to nodes with the given out- and/or
-    in-degree; a negative degree raises :class:`InvalidParameter`.
+    three metrics.  Grouping is a deterministic greedy partition: the
+    smallest ungrouped node seeds a class, and each later node, in
+    ascending id, joins it when it is within the tolerance of every
+    member so far.  Nodes with equal triples are grouped first, and the
+    greedy then runs over the distinct triples only, each seed comparing
+    the triples in its window of a sort (:func:`_equivalence_groups`), so
+    one path serves every tolerance.  The optional degree filter
+    restricts grouping to nodes with the given out- and/or in-degree; a
+    negative degree raises :class:`InvalidParameter`.
     """
     if not tolerance >= 0:  # also rejects NaN
         raise InvalidParameter(f"tolerance must be >= 0, got {tolerance!r}")
@@ -294,7 +294,6 @@ def structural_equivalence(
     nodes = np.flatnonzero(keep).tolist()
     packed = np.column_stack((metrics.reciprocity, metrics.cycle_closure, metrics.triplet_closure))[keep]
     triples = packed.tolist()
-    groups = _equal_groups(packed) if tolerance == 0 else _greedy_groups(packed, triples, tolerance)
     return [
         EquivalenceClass(
             members=tuple(nodes[m] for m in members),
@@ -303,48 +302,111 @@ def structural_equivalence(
             triplet_closure=triples[members[0]][2],
             tolerance=tolerance,
         )
-        for members in groups
+        for members in _equivalence_groups(packed, tolerance)
     ]
 
 
-def _equal_groups(packed: np.ndarray) -> list[list[int]]:
-    """The rows of ``packed`` grouped by equal value, each group ascending, groups by their first row."""
+def _equivalence_groups(packed: np.ndarray, tolerance: float) -> list[list[int]]:
+    """Greedy classes of the rows of ``packed``, seeded in ascending order (see :func:`structural_equivalence`).
+
+    Stage 1 groups equal rows (``np.unique``), each group ascending and
+    the groups ordered by their smallest row.  Stage 2 runs the greedy
+    over these groups, one distinct triple each, in that order.  A
+    seed's candidates are the live triples in its sweep window
+    (:func:`_sweep_windows`) that pass the exact test against it; they
+    are walked in order under the per-metric min/max check, and an
+    accepted triple brings its whole group.
+
+    That is the greedy over rows.  Rounded subtraction is monotone and
+    x - y == -(y - x) exactly, so |t - m| <= tolerance holds for every
+    member m exactly when it holds for the per-metric minimum and
+    maximum of the members.  A row equal to an earlier one gets the
+    earlier one's verdict: if that was accepted, the row lies in
+    [lo, hi] and passes too; if it was rejected, lo and hi only widen,
+    so it fails again.  At tolerance 0 no two distinct triples pass the
+    exact test, so stage 2 merges nothing.
+    """
     if not len(packed):
         return []
     _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
     rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
+    rank[by_first] = np.arange(len(first))
     label = rank[inverse.reshape(-1)]
     order = np.argsort(label, kind="stable").tolist()  # stable: each group stays ascending
     bounds = np.cumsum(np.bincount(label)).tolist()
-    return [order[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+    equal = [order[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
 
-
-def _greedy_groups(packed: np.ndarray, triples: list[list[float]], tolerance: float) -> list[list[int]]:
-    """Greedy classes of the rows of ``packed``, seeded in ascending order (see :func:`structural_equivalence`)."""
-    alive = np.ones(len(packed), dtype=bool)
+    distinct = packed[first[by_first]]
+    rows = distinct.tolist()
+    swept, starts, stops = _sweep_windows(distinct, tolerance)
+    alive = np.ones(len(rows), dtype=bool)
     groups = []
-    for seed in range(len(packed)):
+    for seed, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
         if not alive[seed]:
             continue
-        # Only nodes within the tolerance of the seed can join its class;
-        # every alive node comes after the seed, so only the rows from the
-        # seed on are compared, and the seed is near[0].
-        rest = packed[seed:]
-        near = seed + np.flatnonzero(alive[seed:] & (np.abs(rest - rest[0]) <= tolerance).all(axis=1))
-        members = [seed]
-        lo = hi = triples[seed]
-        for cand in near[1:].tolist():
-            t = triples[cand]
-            # Rounded subtraction is monotone and x - y == -(y - x) exactly,
-            # so |t - m| <= tolerance holds for every member m exactly when
-            # it holds for the per-metric minimum and maximum of the members.
-            if all(x - low <= tolerance and high - x <= tolerance for x, low, high in zip(t, lo, hi)):
-                members.append(cand)
-                lo, hi = tuple(map(min, lo, t)), tuple(map(max, hi, t))
-        alive[members] = False
-        groups.append(members)
+        alive[seed] = False
+        joined = [seed]
+        if stop - start > 1:  # a window of one row holds only the seed
+            near = swept[start:stop]
+            near = np.sort(near[alive[near] & (np.abs(distinct[near] - distinct[seed]) <= tolerance).all(axis=1)])
+            lo = hi = rows[seed]
+            for cand in near.tolist():
+                t = rows[cand]
+                if all(x - low <= tolerance and high - x <= tolerance for x, low, high in zip(t, lo, hi)):
+                    joined.append(cand)
+                    lo, hi = tuple(map(min, lo, t)), tuple(map(max, hi, t))
+            alive[joined] = False
+        groups.append(sorted(m for j in joined for m in equal[j]))
     return groups
+
+
+def _sweep_windows(rows: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sort of ``rows`` by one key, and each row's window in it (a sort-and-sweep).
+
+    Returns ``(swept, starts, stops)``: ``swept`` orders the rows by the
+    key, and row i's window ``swept[starts[i]:stops[i]]`` holds every row
+    that the exact test ``(np.abs(rows - rows[i]) <= tolerance).all(axis=1)``
+    accepts.  The key is whichever of the three columns and their sum
+    r + c + t gives the fewest rows in all windows together, so no one
+    input defeats it: a layer with no mutual ties puts every row in
+    one reciprocity window, and one with r + c + t constant does the
+    same to the sum.  On a sparse layer each column takes few values,
+    ratios of small counts, while their sums seldom repeat, so at small
+    tolerances the sum is the key chosen: on the ``all`` layer of the
+    pairwise-nodes benchmark input at tolerance 0, its windows hold
+    1,239 rows of 1,183 distinct triples, and the best column's 27,671.
+    Sweeping a key is one sort and two ``searchsorted`` calls (Cohen,
+    Lin, Manocha & Ponamgi 1995, I-COLLIDE).
+
+    Why a window holds every accepted row.  Let u = eps / 2 and M the
+    largest |value| in ``rows``, all finite.  A rounded sum or
+    difference is z(1 + d) with |d| <= u (one below the normal range is
+    exact), so a row y that the test accepts against x has
+    |y_j - x_j| <= tolerance / (1 - u) <= tolerance(1 + eps) in each
+    column.  The sum key fl(fl(r + c) + t) lies within (2u + u^2)·3M of
+    r + c + t, so the keys of x and y differ by at most
+    width·tolerance(1 + eps) + 7·eps·M, width being 1 for a column and
+    3 for the sum.  The pad width·tolerance(1 + 4·eps) + 16·eps·M, after
+    its own roundings, is at least width·tolerance(1 + 2·eps) + 15·eps·M,
+    which is more.  (Where the last term underflows, its rounding
+    matters only for M below 2^-1026, and there every sum is exact.)
+    So key(y) lies in [key(x) - pad, key(x) + pad], and, rounding being
+    monotone, also between the rounded bounds given to ``searchsorted``.
+    """
+    eps = np.finfo(float).eps
+    slack = 16 * eps * float(np.abs(rows).max())
+    best = None
+    for key, width in ((rows[:, 0], 1), (rows[:, 1], 1), (rows[:, 2], 1), (rows[:, 0] + rows[:, 1] + rows[:, 2], 3)):
+        pad = width * tolerance * (1 + 4 * eps) + slack
+        swept = np.argsort(key)
+        ordered = key[swept]
+        starts = np.searchsorted(ordered, key - pad, "left")
+        stops = np.searchsorted(ordered, key + pad, "right")
+        work = int((stops - starts).sum())
+        if best is None or work < best[0]:
+            best = work, swept, starts, stops
+    return best[1:]
 
 
 def wedge_closure(

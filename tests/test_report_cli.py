@@ -74,6 +74,16 @@ def test_summary_report_rows(demo):
     assert set(da) == {"out_out", "out_in", "in_out", "in_in"}
 
 
+def test_summary_report_holds_none_for_a_degenerate_assortativity(tiny):
+    # every node of the 3-cycle has the same degrees, so no assortativity is defined
+    report = summary_report(load_dataset(tiny))
+    assert report["rows"][0]["assortativity"] is None
+    assert list(report["details"]["directed_assortativity"]["ring"].values()) == [None] * 4
+    assert json.loads(render_json(report))["rows"][0]["assortativity"] is None
+    with pytest.raises(ValueError):  # the renderer still refuses a NaN cell
+        render_json({"rows": [{"assortativity": math.nan}]})
+
+
 def test_endogenous_three_cycle(tiny):
     report = endogenous_report(load_dataset(tiny))
     row = report["rows"][0]

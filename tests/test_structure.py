@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,6 +39,7 @@ from tieplex import (
 from tieplex import graph as tieplex_graph
 from tieplex import io as tieplex_io
 from tieplex import kernels
+from tieplex import structure
 
 from conftest import force_swar_popcount, metric_corpus, single, two_layer
 
@@ -315,12 +318,10 @@ def test_structural_equivalence_rejects_bad_tolerance(mutual_dyad, tolerance):
 def test_structural_equivalence_tolerance_zero_distinct():
     # metric triples all differ: each node is its own class
     v = single([(0, 1), (1, 0), (1, 2), (2, 0)], 3)
-    triples = {
-        (c.reciprocity, c.cycle_closure, c.triplet_closure)
-        for c in structural_equivalence(v, 0.0)
-    }
-    if len(triples) == 3:
-        assert all(len(c.members) == 1 for c in structural_equivalence(v, 0.0))
+    lm = layer_metrics(v)
+    triples = zip(lm.reciprocity.tolist(), lm.cycle_closure.tolist(), lm.triplet_closure.tolist())
+    assert len(set(triples)) == 3
+    assert [c.members for c in structural_equivalence(v, 0.0)] == [(0,), (1,), (2,)]
 
 
 def test_structural_equivalence_tolerance_merges():
@@ -402,10 +403,10 @@ def test_structural_equivalence_matches_greedy_reference_on_rounding_edges(monke
 
 
 def test_structural_equivalence_tolerance_zero_groups_equal_triples(monkeypatch):
-    # Tolerance 0 groups by equal triples instead of the greedy scan: the
-    # triples repeat, in runs and scattered, and the degree filters pick
-    # subsets; a triple first seen late still orders its class by its
-    # smallest member.
+    # At tolerance 0 the classes are the equal-triple groups, which the
+    # sweep over distinct triples leaves as they are: the triples repeat,
+    # in runs and scattered, and the degree filters pick subsets; a
+    # triple first seen late still orders its class by its smallest member.
     v = single([], 80)
     template = oracles.actor_metrics(v, 0)
     grid = [0.0, 0.25, 1 / 3, 0.5, 1.0]
@@ -425,6 +426,138 @@ def test_structural_equivalence_tolerance_zero_groups_equal_triples(monkeypatch)
         for out_degree, in_degree in DEGREE_FILTERS + ((2, 0), (5, None)):
             want = oracles.equivalence_greedy(actors, 0.0, out_degree, in_degree)
             assert structural_equivalence(v, 0.0, out_degree, in_degree) == want
+
+
+equiv_value = st.one_of(st.sampled_from([k / 10 for k in range(11)] + [1 / 3, -0.0]), st.floats(-1, 2))
+equiv_nodes = st.lists(st.tuples(equiv_value, equiv_value, equiv_value), min_size=1, max_size=8).flatmap(
+    # (triple, out-degree, in-degree) per node, the triples drawn from a small pool so that they repeat
+    lambda pool: st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 2), st.integers(0, 2)), max_size=40)
+)
+
+
+@given(equiv_nodes, st.floats(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_structural_equivalence_matches_greedy_reference_on_drawn_triples(nodes, drawn):
+    v = single([], 1)
+    template = oracles.actor_metrics(v, 0)
+    actors = tuple(
+        template._replace(
+            node=i, out_degree=dout, in_degree=din, reciprocity=r, cycle_closure=c, triplet_closure=t,
+        )
+        for i, ((r, c, t), dout, din) in enumerate(nodes)
+    )
+    fields = ("out_degree", "in_degree", "reciprocity", "cycle_closure", "triplet_closure")
+    columns = SimpleNamespace(**{f: np.array([getattr(a, f) for a in actors]) for f in fields})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("tieplex.structure.layer_metrics", lambda view: columns)
+        for tolerance in (0.0, 0.1, 0.2, 0.3, drawn, math.inf):
+            for out_degree, in_degree in DEGREE_FILTERS:
+                want = oracles.equivalence_greedy(actors, tolerance, out_degree, in_degree)
+                assert structural_equivalence(v, tolerance, out_degree, in_degree) == want
+
+
+def check_sweep_windows_hold_every_accepted_row(rows, tolerance):
+    swept, starts, stops = structure._sweep_windows(rows, tolerance)
+    position = np.empty_like(swept)
+    position[swept] = np.arange(len(swept))
+    inside = (starts[:, None] <= position) & (position < stops[:, None])
+    accepted = (np.abs(rows[:, None] - rows) <= tolerance).all(axis=2)
+    assert inside[accepted].all()
+    return swept
+
+
+def nudged(rng, rows):
+    """``rows`` with each value left as it is or moved one ulp down or up, at random."""
+    step = rng.integers(-1, 2, rows.shape)
+    return np.where(step < 0, np.nextafter(rows, -1), np.where(step > 0, np.nextafter(rows, 2), rows))
+
+
+def test_equivalence_sweep_window_holds_every_row_the_exact_test_accepts():
+    # Values k/10, 1/3 and +-0.0, moved by up to two tolerances and then
+    # by up to one ulp, so that many pairs sit one tolerance apart, where
+    # the rounding of the differences must be padded for.
+    base = [k / 10 for k in range(11)] + [1 / 3, 2 / 3, -0.0]
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        tolerance = (0.1, 0.2, 0.3, 1 / 3, 1 / 30, 1e-3)[seed % 6]
+        pool = np.array([b + step * tolerance for b in base for step in (-2, -1, 0, 1, 2)] + [0.0])
+        rows = np.unique(nudged(rng, rng.choice(pool, (300, 3))), axis=0)
+        check_sweep_windows_hold_every_accepted_row(rows, tolerance)
+
+
+def test_equivalence_sweep_window_holds_every_row_the_exact_test_accepts_under_the_sum_key():
+    # Anchors (a/10, b/100, 1/3) share each column's values but sit 0.01
+    # apart in r + c + t, so the sum is the key chosen; around each, every
+    # row moved by -1, 0 or +1 tolerance per column and then by up to one
+    # ulp, so the rounding of the sums must be padded for too.
+    offsets = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)])
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        tolerance = (1e-3, 1 / 1024, 1 / 900, 1 / 3000)[seed % 4]
+        anchors = np.array([(a / 10, b / 100, 1 / 3) for a in range(10) for b in range(10)])
+        around = anchors[rng.choice(100, 30, replace=False), None] + offsets * tolerance
+        rows = np.unique(nudged(rng, around.reshape(-1, 3)), axis=0)
+        swept = check_sweep_windows_hold_every_accepted_row(rows, tolerance)
+        assert (np.diff((rows[:, 0] + rows[:, 1] + rows[:, 2])[swept]) >= 0).all()
+
+
+def sweep_work(packed, tolerance):
+    """Rows in all sweep windows of the distinct triples of ``packed``."""
+    _, starts, stops = structure._sweep_windows(np.unique(packed, axis=0), tolerance)
+    return int((stops - starts).sum())
+
+
+def test_equivalence_sweep_windows_stay_small_where_one_key_would_not():
+    # Random distinct triples, then two inputs that each defeat one sweep
+    # key: every row shares one reciprocity, or one r + c + t (r + c = 1,
+    # t = 0, up to rounding); the key chosen from the input keeps the
+    # windows near one row each.
+    rng = np.random.default_rng(7)
+    n = 20_000
+    r = rng.random(n)
+    inputs = (
+        rng.random((n, 3)),
+        np.column_stack((np.zeros(n), rng.random(n), rng.random(n))),
+        np.column_stack((r, 1 - r, np.zeros(n))),
+    )
+    for packed in inputs:
+        assert len(np.unique(packed, axis=0)) == n
+        assert sweep_work(packed, 1e-9) <= 2 * n
+
+
+def test_equivalence_sweep_takes_the_sum_on_the_pairwise_nodes_input(tmp_path, monkeypatch):
+    # The pairwise-nodes benchmark input (benchmarks/sparse_gen.py, n =
+    # 2500, seed 1): its distinct triples share each column's values far
+    # more often than their sums, so at tolerance 0 the key chosen is
+    # r + c + t, with windows of about one row each.
+    spec = importlib.util.spec_from_file_location(
+        "bench_sparse_gen", Path(__file__).parents[1] / "benchmarks" / "sparse_gen.py"
+    )
+    sparse_gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, sparse_gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(sparse_gen)
+    sparse_gen.write_sparse_dataset(tmp_path, 1, 2500)
+    m = layer_metrics(load_dataset(tmp_path / "manifest.json").graph.view("all"))
+    rows = np.unique(np.column_stack((m.reciprocity, m.cycle_closure, m.triplet_closure)), axis=0)
+    swept, starts, stops = structure._sweep_windows(rows, 0.0)
+    total = rows[:, 0] + rows[:, 1] + rows[:, 2]
+    assert (np.diff(total[swept]) >= 0).all()
+    work = int((stops - starts).sum())
+    assert work <= 2 * len(rows)
+    # at tolerance 0 a column's window holds the rows with its value, so
+    # the column's windows hold the sum of its squared value counts
+    columns = [int((np.unique(column, return_counts=True)[1] ** 2).sum()) for column in rows.T]
+    assert 10 * work < min(columns), (work, columns)
+
+
+def test_equivalence_sweep_windows_beat_the_scan_on_a_grid():
+    # Triples on a 1/30 grid repeat and sit close together; the windows
+    # hold fewer rows than the scan of every later row per seed compared.
+    rng = np.random.default_rng(7)
+    n = 20_000
+    packed = rng.integers(0, 31, (n, 3)) / 30
+    seeds = [group[0] for group in structure._equivalence_groups(packed, 0.03)]
+    assert sweep_work(packed, 0.03) < sum(n - seed for seed in seeds)
 
 
 def test_wedge_single_closed():
