@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graph import MultiplexGraph
-from .kernels import row_means
-from .metrics import _closure, _mean, _node_terms, jaccard
+from .kernels import CYCLE, TRIPLET, row_means
+from .metrics import _closures, _mean, _node_terms, _reversed, jaccard
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,21 +56,26 @@ class CrossLayerAverages:
 
 
 def cross_layer_metrics(g: MultiplexGraph, alpha: str, beta: str) -> CrossLayerMetrics:
-    """The five pair metrics of every node, one kernel call each.
+    """The five pair metrics of every node.
 
     Reciprocity is jaccard(out_alpha(i), in_beta(i)); cycle closure
     averages jaccard(out_alpha(i), in_beta(h)) over the beta-predecessors
     h of i, triplet closure jaccard(out_alpha(i), out_beta(j)) over the
     alpha-successors j; each closure is 0 with nothing to average over.
+    Reciprocity and the overlaps read the two layers' pair codes; both
+    closures come from one dense product or one triangle listing.
     """
     va, vb = g.view(alpha), g.view(beta)
     out_a, in_a, out_b, in_b = va.out, va.inn, vb.out, vb.inn
+    pairs = va.pairs
+    code_a, code_b = pairs.code(alpha), pairs.code(beta)
+    (_, cycle), (_, triplet) = _closures(va, vb, [(CYCLE, out_a, in_b, in_b), (TRIPLET, out_a, out_a, out_b)])
     columns = (
-        _node_terms(out_a, in_b)[1],
-        _closure(out_a, in_b, in_b)[1],
-        _closure(out_a, out_a, out_b)[1],
-        _node_terms(out_a, out_b)[1],
-        _node_terms(in_a, in_b)[1],
+        _node_terms(pairs, code_a, _reversed(code_b), out_a, in_b)[1],
+        cycle,
+        triplet,
+        _node_terms(pairs, code_a, code_b, out_a, out_b)[1],
+        _node_terms(pairs, _reversed(code_a), _reversed(code_b), in_a, in_b)[1],
     )
     for column in columns:
         column.setflags(write=False)

@@ -4,14 +4,21 @@ A multiplex graph is a fixed node set observed under several named edge
 sets called layers.  Basic layers hold raw ties; aggregate layers are
 edge-set unions of basic layers and are materialized once at build time
 (metrics re-read them constantly, so laziness buys nothing).  Ties are
-binary and self-ties are rejected.  Everything is immutable after
-construction, which makes views safe to share across threads or worker
-processes without locking.
+binary and self-ties are rejected.
 
 Validation lives here: :func:`build_graph` alone checks node labels and
 edges, and :func:`check_layers` alone checks layer declarations (for
 manifests too).  Each layer is stored once, as the two CSRs of its
-:class:`LayerView`.
+:class:`LayerView`.  Beside them, the views :func:`build_graph` makes
+share one :class:`PairTable`: the node pairs tied in any basic layer,
+each layer's two-bit direction code per pair, and the triangles of
+those pairs while they are few.  It is built on first use, from the
+views' own ties.
+
+Everything is immutable after construction.  The pair table's memo is
+a pure function of those immutable ties, so a view stays safe to share
+across threads or worker processes without locking: two threads that
+build it at once build equal tables, and either one is kept.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .errors import (
     UnknownLayer,
     UnknownNode,
 )
-from .kernels import CSR
+from .kernels import CSR, _index_type, _keys, triangles
 from .layers import LayerSpec
 
 
@@ -78,10 +85,12 @@ class LayerView:
     where it is read.
 
     It is built from ``keys``, the layer's ties ``i * n_nodes + j``,
-    sorted and unique; they are not kept.
+    sorted and unique; they are not kept.  ``pairs`` is the
+    :class:`PairTable` of the multiplex the view belongs to, or, for a
+    view built alone, of its own ties.
     """
 
-    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn")
+    __slots__ = ("name", "n_nodes", "n_edges", "out", "inn", "pairs")
 
     def __init__(self, name: str, n_nodes: int, keys: np.ndarray):
         self.name = name
@@ -94,10 +103,102 @@ class LayerView:
         del rows, cols  # each temporary goes as soon as its CSR is built
         transposed.sort()
         self.inn = CSR.from_keys(transposed, n_nodes)
+        self.pairs = PairTable(n_nodes, {name: self}, {name: (name,)})
 
     def _check(self, i: int) -> None:
         if not 0 <= i < self.n_nodes:
             raise UnknownNode(f"node id {i} out of range for layer '{self.name}'")
+
+
+class PairTable:
+    """The node pairs tied in any of a multiplex's basic layers, shared by its views.
+
+    ``keys`` are the pairs' sorted unique keys ``a * n + b``, a < b, and
+    :meth:`code` gives a layer's two-bit code per pair: bit 0 for the
+    tie a -> b, bit 1 for b -> a.  An aggregate's code is the OR of its
+    constituents'.  Both are built on first use from the basic layers'
+    CSRs, and each code array is read-only.
+
+    :meth:`triangles` lists the triangles of the pairs through
+    :func:`tieplex.kernels.triangles`.  The first call lists them all
+    and keeps the listing while it holds no more triangles than there
+    are pairs, stopping as soon as it passes that count, so the memo
+    never outgrows ``keys``: at most three pair indices and one id order
+    per pair.  A denser union is listed again by each call over its own
+    layers' pairs.
+    """
+
+    def __init__(self, n_nodes: int, basics: Mapping[str, LayerView], constituents: Mapping[str, Sequence[str]]):
+        self.n_nodes = n_nodes
+        self._basics = {name: (view.out, view.inn) for name, view in basics.items()}
+        self._constituents = {name: tuple(names) for name, names in constituents.items()}
+        self._keys: np.ndarray | None = None
+        self._codes: dict[str, np.ndarray] = {}
+        self._listing: np.ndarray | None | bool = None  # False once the union proved too dense to keep
+
+    @property
+    def keys(self) -> np.ndarray:
+        if self._keys is None:
+            self._build()
+        return self._keys
+
+    def code(self, name: str) -> np.ndarray:
+        """The two-bit code per pair of the declared layer ``name``."""
+        keys = self.keys
+        codes = [self._codes[c] for c in self._constituents[name]]
+        if len(codes) == 1:
+            return codes[0]
+        merged = np.zeros(len(keys), dtype=np.uint8)
+        for code in codes:
+            merged |= code
+        merged.setflags(write=False)
+        return merged
+
+    def _build(self) -> None:
+        """Merge every basic layer's pairs into ``keys``, then mark each layer's two directions."""
+        n = self.n_nodes
+        runs = {name: (_upper(out, n), _upper(inn, n)) for name, (out, inn) in self._basics.items()}
+        keys = _merge(np.zeros(0, dtype=np.int64), *(run for both in runs.values() for run in both))
+        for name, (forward, backward) in runs.items():
+            code = np.zeros(len(keys), dtype=np.uint8)
+            code[np.searchsorted(keys, forward)] = 1
+            code[np.searchsorted(keys, backward)] |= 2
+            code.setflags(write=False)
+            self._codes[name] = code
+        keys.setflags(write=False)
+        self._keys = keys
+
+    def triangles(self, names: Sequence[str]) -> tuple[bool, Iterable[np.ndarray]]:
+        """Whether the listing is kept, and steps of :func:`tieplex.kernels.triangles` covering every triangle of the pairs ``names`` tie.
+
+        The steps are either the kept listing of the whole union, as one
+        step, or a listing of the pairs that the layers ``names`` tie,
+        made as it is walked (see the class docstring).
+        """
+        keys = self.keys
+        if self._listing is None:
+            held, total = [], 0
+            for sides in triangles(keys, self.n_nodes):
+                total += sides.shape[1]
+                if total > len(keys):
+                    self._listing = False
+                    break
+                held.append(sides)
+            else:
+                listing = np.concatenate([np.zeros((4, 0), dtype=np.int32), *held], axis=1)
+                listing.setflags(write=False)  # before another thread can read it
+                self._listing = listing
+        if self._listing is not False:
+            return True, (self._listing,)
+        tied = np.zeros(len(keys), dtype=bool)
+        for name in names:
+            tied |= self.code(name) != 0
+        return False, triangles(keys, self.n_nodes, np.flatnonzero(tied).astype(_index_type(len(keys))))
+
+
+def _upper(csr: CSR, n: int) -> np.ndarray:
+    """The sorted keys ``i * n + j`` of ``csr``'s entries with i < j."""
+    return _keys(csr, n)[:-1][csr.row_ids() < csr.indices]
 
 
 class MultiplexGraph:
@@ -265,6 +366,9 @@ def build_graph(
     for spec in specs:
         union = _merge(*(ranked[c] for c in spec.constituents or (spec.name,)))
         views[spec.name] = LayerView(spec.name, n, union)
+    pairs = PairTable(n, {name: views[name] for name in basics}, {s.name: s.constituents or (s.name,) for s in specs})
+    for view in views.values():
+        view.pairs = pairs
     return MultiplexGraph(labels, specs, views, duplicates)
 
 

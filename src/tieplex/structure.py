@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NotStronglyConnected
 from .graph import LayerView, MultiplexGraph, _merge
-from .kernels import CSR, _keys, _spans, intersection_counts, popcount
+from .kernels import CSR, WEDGE, _keys, _spans, fits_dense, intersection_counts, marked_sides, popcount
 from .metrics import layer_metrics
 
 _BLOCK = 1024  # BFS sources per block: 16 uint64 words per node
@@ -230,10 +230,12 @@ def degree_assortativity(view: LayerView) -> float:
 
     Degrees are undirected-projection degrees; every undirected edge
     contributes its endpoint degree pair in both orders, summed in the
-    sorted order of the linked pairs.  Returns NaN when there is no edge or
-    the endpoint degrees have zero variance (the degenerate-variance flag).
+    sorted order of the pairs the layer links (its nonzero pair codes).
+    Returns NaN when there is no edge or the endpoint degrees have zero
+    variance (the degenerate-variance flag).
     """
-    a, b = np.divmod(_linked_pairs(view), view.n_nodes)
+    pairs = view.pairs
+    a, b = np.divmod(pairs.keys[pairs.code(view.name) != 0], view.n_nodes)
     deg = np.bincount(np.concatenate((a, b)), minlength=view.n_nodes)
     x, y = deg[a], deg[b]
     return _pearson(np.concatenate((x, y)), np.concatenate((y, x)))
@@ -424,7 +426,8 @@ def wedge_closure(
     """
     wedge_view = g.view(wedge_layer)
     names = list(closing_layers)
-    views = [g.view(name) for name in names]  # an unknown layer is named before a repeated one
+    for name in names:
+        g.view(name)  # an unknown layer is named before a repeated one
     for name in names:
         if names.count(name) > 1:
             raise InvalidParameter(f"closing layer '{name}' is listed more than once")
@@ -432,29 +435,36 @@ def wedge_closure(
         raise InvalidParameter(
             "closing layer 'any' clashes with the 'any' entry, which counts wedges closed by at least one closing layer"
         )
-    n = g.n_nodes
-    wedge = _undirected(wedge_view)
-    degree = wedge.degrees()
+    pairs = wedge_view.pairs
+    n = pairs.n_nodes
+    spokes = pairs.code(wedge_layer)
+    codes = [pairs.code(name) for name in names]
+    linked = np.zeros(len(pairs.keys), dtype=np.uint8)
+    for code in codes:
+        linked |= code
+    a, b = np.divmod(pairs.keys[spokes != 0], n)
+    degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     total = int((degree * (degree - 1) // 2).sum())
+    del a, b
 
     # A linked pair {a, b} closes one wedge per common neighbour of a and
-    # b in the wedge layer, so count each pair of the union once.  Each
-    # layer's pairs are merged in and dropped, and found again after the
-    # count: the union and one layer's pairs are held, not every layer's.
-    union = np.zeros(0, dtype=np.int64)
-    for view in views:
-        union = _merge(union, _linked_pairs(view))
-    a, b = np.divmod(union, n)
-    swap = degree[a] > degree[b]  # walk the shorter row; the count is symmetric
-    a[swap], b[swap] = b[swap], a[swap]
-    del swap
-    common = intersection_counts(wedge, wedge, a, b)
-    del a, b
-    closed = {
-        name: int(common[np.searchsorted(union, _linked_pairs(view))].sum())
-        for name, view in zip(names, views)
-    }
-    closed["any"] = int(common.sum())
+    # b in the wedge layer: each is a triangle of the pairs whose other
+    # two sides the wedge layer ties, so the WEDGE table marks the pair.
+    if fits_dense(n):
+        held = np.flatnonzero(linked)
+        a, b = np.divmod(pairs.keys[held], n)
+        wedge = _undirected(wedge_view)
+        common = intersection_counts(wedge, wedge, a, b)
+        closed = {name: int(common[code[held] != 0].sum()) for name, code in zip(names, codes)}
+        closed["any"] = int(common.sum())
+    else:
+        closed = dict.fromkeys([*names, "any"], 0)
+        _, steps = pairs.triangles([wedge_layer, *names])
+        for (ends,) in marked_sides(steps, spokes, linked, [WEDGE]):
+            side = ends >> 1
+            for name, code in zip(names, codes):
+                closed[name] += int(np.count_nonzero(code[side]))
+            closed["any"] += len(side)
     pct = {
         name: (100.0 * c / total) if total else 0.0 for name, c in closed.items()
     }
@@ -465,17 +475,6 @@ def _undirected(view: LayerView) -> CSR:
     """The undirected projection (out ∪ in) of ``view``: the merged key runs of ``out`` and ``inn``."""
     n = view.n_nodes
     return CSR.from_keys(_merge(_keys(view.out, n)[:-1], _keys(view.inn, n)[:-1]), n)
-
-
-def _linked_pairs(view: LayerView) -> np.ndarray:
-    """Sorted keys ``a * n + b``, a < b, of node pairs tied in either direction.
-
-    They are the entries above the diagonal of ``out`` and of ``inn``:
-    two sorted runs, merged.
-    """
-    n = view.n_nodes
-    upper = [_keys(csr, n)[:-1][csr.row_ids() < csr.indices] for csr in (view.out, view.inn)]
-    return _merge(*upper)
 
 
 def layer_summary(view: LayerView) -> LayerSummary:

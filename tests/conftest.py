@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from tieplex import (
     build_graph,
     cross_layer_metrics,
     generate_synthetic,
+    graph,
     kernels,
     layer_metrics,
     structure,
@@ -86,7 +91,7 @@ def mutual_dyad():
 
 
 def force_probe(monkeypatch):
-    """Send every ``intersection_counts`` call to the sorted-key probe: no dense matrix fits a 0-byte budget."""
+    """Send every closure count to the triangle listing: no dense matrix fits a 0-byte budget."""
     monkeypatch.setattr(kernels, "_DENSE_BYTES", 0)
 
 
@@ -96,17 +101,50 @@ def force_swar_popcount(monkeypatch):
     monkeypatch.delattr(np, "bitwise_count", raising=False)
 
 
+def count_listings(monkeypatch):
+    """Count the triangle listings the pair tables start: a dict whose ``"listing"`` entry grows by one per walk."""
+    calls = {"listing": 0}
+    real = graph.triangles
+
+    def counted(*args):
+        calls["listing"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(graph, "triangles", counted)
+    return calls
+
+
 @pytest.fixture(params=["dense", "probe"])
 def kernel_path(request, monkeypatch):
-    """Run a test once on each ``intersection_counts`` strategy; yields the calls each strategy got."""
+    """Run a test once on each closure strategy, the dense product and (``probe``) the triangle listing.
+
+    The ``probe`` id names the path above the dense limit, which the
+    sorted-key probe took before the listing.  Yields the calls each
+    strategy got.
+    """
     if request.param == "probe":
         force_probe(monkeypatch)
-    calls = {"dense": 0, "probe": 0}
-    for name, key in (("_dense", "dense"), ("_probe_counts", "probe")):
-        def counted(*args, _real=getattr(kernels, name), _key=key):
-            calls[_key] += 1
-            return _real(*args)
-        monkeypatch.setattr(kernels, name, counted)
+    calls = count_listings(monkeypatch)
+    calls["dense"] = 0
+    real = kernels._dense
+
+    def counted(*args):
+        calls["dense"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_dense", counted)
     yield calls
-    other = "probe" if request.param == "dense" else "dense"
-    assert calls[request.param] and not calls[other], calls
+    used, other = ("dense", "listing") if request.param == "dense" else ("listing", "dense")
+    assert calls[used] and not calls[other], calls
+
+
+def write_sparse_input(path, seed, n, monkeypatch):
+    """Write the ``benchmarks/sparse_gen.py`` dataset of ``n`` nodes under ``path``; returns its manifest path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_sparse_gen", Path(__file__).parents[1] / "benchmarks" / "sparse_gen.py"
+    )
+    sparse_gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, sparse_gen)  # its dataclass looks itself up there
+    spec.loader.exec_module(sparse_gen)
+    sparse_gen.write_sparse_dataset(path, seed, n)
+    return path / "manifest.json"

@@ -1,7 +1,10 @@
 
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,13 +19,21 @@ from tieplex import (
     TieplexError,
     UnknownLayer,
     UnknownNode,
+    LayerParams,
+    LayerView,
     build_graph,
+    cross_layer_metrics,
+    generate_synthetic,
     graph,
     induced_edge_count,
+    kernels,
+    layer_metrics,
+    load_dataset,
     synth,
 )
+from tieplex.report import cross_report, endogenous_report, equivalence_report, wedge_report
 
-from conftest import metric_corpus, single
+from conftest import count_listings, force_probe, metric_corpus, single, write_sparse_input
 
 
 def simple_graph():
@@ -330,3 +341,90 @@ def test_build_order_insensitive(ea, rnd):
     assert oracles.canonical_form(g1) == oracles.canonical_form(g2)
     for i in range(8):
         assert oracles.out_set(g1.view("a"), i) == oracles.out_set(g2.view("a"), i)
+
+
+def check_columns_equal_the_set_oracle(g):
+    """Every ``layer_metrics`` column of every layer and every ``cross_layer_metrics`` column of every ordered pair."""
+    for alpha in g.layer_names:
+        v = g.view(alpha)
+        lm = layer_metrics(v)
+        actors = [oracles.actor_metrics(v, i) for i in range(g.n_nodes)]
+        for f in oracles.ActorMetrics._fields[1:]:
+            assert getattr(lm, f).tolist() == [getattr(a, f) for a in actors], (alpha, f)
+        for beta in g.layer_names:
+            table = oracles.cross_layer_table(g, alpha, beta)
+            columns = cross_layer_metrics(g, alpha, beta)
+            for f in ("reciprocity", "cycle_closure", "triplet_closure", "overlap_out", "overlap_in"):
+                assert getattr(columns, f).tolist() == [getattr(r, f) for r in table], (alpha, beta, f)
+
+
+@pytest.mark.parametrize("p, kept", [(0.15, True), (0.7, False)])
+def test_kept_and_listed_again_unions_equal_the_set_oracle(monkeypatch, p, kept):
+    # above the dense limit, a union with no more triangles than pairs is
+    # listed once and kept; a denser one is listed again by each call
+    force_probe(monkeypatch)
+    layers = [LayerParams("a", p, 0.5), LayerParams("b", p, 0.0)]
+    g, _ = generate_synthetic(4, 14, layers, aggregates=[LayerSpec.aggregate("u", "a", "b")])
+    keys = g.view("u").pairs.keys
+    triangles = sum(step.shape[1] for step in kernels.triangles(keys, g.n_nodes))
+    assert (triangles <= len(keys)) == kept and triangles
+    check_columns_equal_the_set_oracle(g)
+    listing = g.view("a").pairs._listing
+    assert listing.shape == (4, triangles) if kept else listing is False
+
+
+@pytest.mark.parametrize("report", ["endogenous", "cross", "wedges", "equiv"])
+def test_one_report_walks_the_union_listing_once(tmp_path, monkeypatch, report):
+    # n = 1200 is above the dense limit and the union is sparse, so every
+    # layer and pair of the report reads the one kept listing
+    manifest = write_sparse_input(tmp_path, 3, 1200, monkeypatch)
+    dataset = load_dataset(manifest)
+    listings = count_listings(monkeypatch)
+    {
+        "endogenous": lambda: endogenous_report(dataset),
+        "cross": lambda: cross_report(dataset),
+        "wedges": lambda: wedge_report(dataset, "all"),
+        "equiv": lambda: equivalence_report(dataset, "all"),
+    }[report]()
+    assert listings["listing"] == 1
+    assert isinstance(dataset.graph.view("all").pairs._listing, np.ndarray)
+
+
+def test_pair_table_is_shared_and_a_lone_view_has_its_own():
+    g = simple_graph()
+    tables = {id(g.view(name).pairs) for name in g.layer_names}
+    assert len(tables) == 1
+    for name in g.layer_names:  # basic and aggregate codes alike
+        assert not g.view(name).pairs.code(name).flags.writeable
+    lone = LayerView("lone", 3, np.array([1, 5], dtype=np.int64))  # 0 -> 1, 1 -> 2
+    assert lone.pairs.keys.tolist() == [1, 5] and lone.pairs.code("lone").tolist() == [1, 1]
+    with pytest.raises(ValueError):
+        lone.pairs.code("lone")[0] = 3  # read-only
+
+
+def test_threads_that_build_the_pair_table_at_once_agree(monkeypatch):
+    # the pair table and its listing are built on first use by whichever
+    # thread gets there; threads racing to build them must all read the
+    # columns one thread reads
+    force_probe(monkeypatch)
+    layers = [LayerParams("a", 0.15, 0.5), LayerParams("b", 0.15, 0.0)]
+    names = ("a", "b", "u") * 3
+
+    def fresh():
+        return generate_synthetic(4, 40, layers, aggregates=[LayerSpec.aggregate("u", "a", "b")])[0]
+
+    def columns(g, name):
+        lm = layer_metrics(g.view(name))
+        return lm.reciprocity.tolist(), lm.cycle_closure.tolist(), lm.triplet_closure.tolist()
+
+    expected = [columns(fresh(), name) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = fresh()
+            with ThreadPoolExecutor(len(names)) as pool:
+                futures = [pool.submit(columns, g, name) for name in names]
+                assert [f.result(timeout=60) for f in futures] == expected
+    finally:
+        sys.setswitchinterval(interval)

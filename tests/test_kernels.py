@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -6,10 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from conftest import force_probe, force_swar_popcount, metric_corpus, undirected
+from conftest import count_listings, force_probe, force_swar_popcount, metric_corpus, undirected
 
-from tieplex import LayerSpec, build_graph, kernels, layer_metrics, wedge_closure
-from tieplex.kernels import CSR, intersection_counts, jaccard_terms, popcount, row_intersections, row_means
+from tieplex import LayerSpec, build_graph, cross_layer_metrics, kernels, layer_metrics, wedge_closure
+from tieplex.graph import LayerView
+from tieplex.kernels import CSR, CYCLE, TRIPLET, closure_counts, intersection_counts, jaccard_terms, popcount, row_means
+from tieplex.metrics import _node_terms, _reversed
 
 
 def csr(sets):
@@ -18,26 +21,79 @@ def csr(sets):
     return CSR.from_keys(np.array(sorted(i * n + j for i, row in enumerate(sets) for j in row), dtype=np.int64), n)
 
 
+def multiplex(n, ties_by_layer):
+    """Graph on nodes '0'..'n-1' whose basic layer ``name`` holds the integer pairs ``ties_by_layer[name]``."""
+    labels = [str(k) for k in range(n)]
+    specs = [LayerSpec.basic(name) for name in ties_by_layer]
+    edges = [(labels[i], labels[j], name) for name, ties in ties_by_layer.items() for i, j in ties]
+    return build_graph(labels, specs, edges)
+
+
+def sets_of(view):
+    """Every out-row and in-row of ``view`` as Python sets."""
+    return [set(r) for r in view.out.rows()], [set(r) for r in view.inn.rows()]
+
+
+def listed_counts(g, alpha, beta, kept=None):
+    """Per-entry cycle counts (in-rows of ``beta``) and triplet counts (out-rows of ``alpha``) from the listing.
+
+    ``kept`` overrides how the marked sides are placed (both ways must agree).
+    """
+    va, vb = g.view(alpha), g.view(beta)
+    pairs = va.pairs
+    listing_kept, steps = pairs.triangles([alpha, beta])
+    walks = [(CYCLE, vb.inn), (TRIPLET, va.out)]
+    return closure_counts(
+        steps, pairs.keys, g.n_nodes, pairs.code(alpha), pairs.code(beta), walks,
+        listing_kept if kept is None else kept,
+    )
+
+
+def expected_counts(g, alpha, beta, rows=None):
+    """The same counts from sets: |out_alpha[i] ∩ in_beta[h]| per in-entry (i, h), |out_alpha[i] ∩ out_beta[j]| per out-entry (i, j).
+
+    ``rows`` may map layer names to their :func:`sets_of`.
+    """
+    rows = rows or {name: sets_of(g.view(name)) for name in {alpha, beta}}
+    out_a, _ = rows[alpha]
+    out_b, in_b = rows[beta]
+    cycle = [len(out_a[i] & in_b[h]) for i, row in enumerate(g.view(beta).inn.rows()) for h in row]
+    triplet = [len(out_a[i] & out_b[j]) for i, row in enumerate(g.view(alpha).out.rows()) for j in row]
+    return cycle, triplet
+
+
+def assert_listed_counts_match_sets(g, layers=None):
+    """Both closures' per-entry counts, for every ordered pair of ``layers``, equal the set intersections, either way placed."""
+    layers = g.layer_names if layers is None else layers
+    rows = {name: sets_of(g.view(name)) for name in layers}
+    for alpha in layers:
+        for beta in layers:
+            expected = expected_counts(g, alpha, beta, rows)
+            for kept in (None, True, False):
+                got = listed_counts(g, alpha, beta, kept)
+                assert [c.tolist() for c in got] == list(expected), (alpha, beta, kept)
+
+
 def test_intersection_counts_match_sets_across_blocks_and_steps():
-    # n = 100k is far above the dense limit, so the probe runs; one row
-    # of 40k entries spans two gather steps of 2**15
-    rng = random.Random(5)
+    # n = 100k is far above the dense limit, so the listing runs; its
+    # 200k+ pairs span several blocks of 2**15 oriented keys, and a hub
+    # of 40k ties meets many of them
+    rng = np.random.default_rng(5)
     n = 100_000
-    p_rows, q_rows = [set() for _ in range(n)], [set() for _ in range(n)]
-    for k in rng.sample(range(n), 300):
-        p_rows[k] = set(rng.sample(range(n), rng.choice((1, 30, 300))))
-        q_rows[k] = set(rng.sample(range(n), rng.choice((2, 50, 500)))) | set(rng.sample(sorted(p_rows[k]), 1))
-    p_rows[7] = set(rng.sample(range(n), 40_000))
-    q_rows[11] = p_rows[7] | {0}
-    P, Q = csr(p_rows), csr(q_rows)
-    busy = [k for k in range(n) if p_rows[k] or q_rows[k]] + [3]
-    same = rng.sample(busy, 200)
-    rows = [rng.choice(busy) for _ in range(200)] + same + [7, 7, 11, 7]
-    cols = [rng.choice(busy) for _ in range(200)] + same + [11, 7, 7, 3]
-    expected = [len(p_rows[r] & q_rows[c]) for r, c in zip(rows, cols)]
-    assert sum(map(bool, expected)) > 200
-    assert intersection_counts(P, Q, rows, cols).tolist() == expected
-    assert intersection_counts(P, Q, [], []).tolist() == []
+    hub = 7
+    spokes = rng.choice(np.arange(8, n), 40_000, replace=False)
+    near = rng.choice(spokes, 3000, replace=False)
+    a = [(hub, int(j)) for j in spokes] + [(int(i), int(j)) for i, j in rng.integers(0, n, (40_000, 2)) if i != j]
+    b = [(int(i), int(j)) for i, j in zip(near, rng.permutation(near)) if i != j]
+    b += [(int(j), hub) for j in near[:500]] + [(int(i), int(j)) for i, j in rng.integers(0, n, (40_000, 2)) if i != j]
+    g = multiplex(n, {"a": a, "b": b})
+    assert len(g.view("a").pairs.keys) > 3 * kernels._STEP
+    rows = {name: sets_of(g.view(name)) for name in ("a", "b")}
+    for alpha, beta in (("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")):
+        cycle, triplet = listed_counts(g, alpha, beta)
+        expected = expected_counts(g, alpha, beta, rows)
+        assert (cycle.tolist(), triplet.tolist()) == expected
+    assert sum(map(bool, expected_counts(g, "a", "b", rows)[1])) > 1000
 
 
 def all_pairs_match_sets(P, Q):
@@ -51,14 +107,17 @@ def all_pairs_match_sets(P, Q):
 
 def test_intersection_counts_match_sets_on_corpus(kernel_path):
     for g in metric_corpus():
-        v = g.view("u")
-        und = undirected(v)
-        for P in (v.out, v.inn, und):
-            for Q in (v.out, v.inn, und):
-                all_pairs_match_sets(P, Q)
-        a, b = g.view("a"), g.view("b")
-        all_pairs_match_sets(a.out, b.inn)
-        all_pairs_match_sets(a.out, b.out)
+        if kernels.fits_dense(g.n_nodes):
+            v = g.view("u")
+            und = undirected(v)
+            for P in (v.out, v.inn, und):
+                for Q in (v.out, v.inn, und):
+                    all_pairs_match_sets(P, Q)
+            a, b = g.view("a"), g.view("b")
+            all_pairs_match_sets(a.out, b.inn)
+            all_pairs_match_sets(a.out, b.out)
+        else:
+            assert_listed_counts_match_sets(g)
 
 
 def test_wedge_closure_matches_brute_force_on_corpus(kernel_path):
@@ -70,48 +129,103 @@ def test_wedge_closure_matches_brute_force_on_corpus(kernel_path):
             assert (report.total, report.closed) == (total, closed)
 
 
-def padded(sets, n):
-    """``csr(sets)`` with isolated rows appended up to ``n`` rows."""
-    return csr([*sets, *(set() for _ in range(n - len(sets)))])
-
-
 def test_dense_limit_gives_equal_counts_on_both_sides(monkeypatch):
     # the same ties on 512 nodes (the largest dense product) and on 513
-    # (the smallest graph that takes the probe)
+    # (the smallest graph that takes the listing)
     dense_sizes = []
     real = kernels._dense
     monkeypatch.setattr(kernels, "_dense", lambda matrix, n: dense_sizes.append(n) or real(matrix, n))
+    listings = count_listings(monkeypatch)
     rng = random.Random(3)
     k = 300
-    p_sets = [set(rng.sample(range(k), rng.choice((0, 2, 9, 40)))) for _ in range(k)]
-    q_sets = [set(rng.sample(range(k), rng.choice((0, 3, 11, 80)))) for _ in range(k)]
-    p_sets[5] = set(range(k))  # a hub
-    rows = [rng.randrange(k) for _ in range(5000)] + [5] * k
-    cols = [rng.randrange(k) for _ in range(5000)] + list(range(k))
+    p_sets = [set(rng.sample(range(k), rng.choice((0, 2, 9, 40)))) - {i} for i in range(k)]
+    q_sets = [set(rng.sample(range(k), rng.choice((0, 3, 11, 80)))) - {i} for i in range(k)]
+    p_sets[5] = set(range(k)) - {5}  # a hub
+    ties = {"a": [(i, j) for i, row in enumerate(p_sets) for j in row], "b": [(i, j) for i, row in enumerate(q_sets) for j in row]}
+    columns = {}
     for n in (512, 513):
-        P, Q = padded(p_sets, n), padded(q_sets, n)
-        assert intersection_counts(P, Q, rows, cols).tolist() == [len(p_sets[r] & q_sets[c]) for r, c in zip(rows, cols)]
-        assert intersection_counts(P, P, rows, cols).tolist() == [len(p_sets[r] & p_sets[c]) for r, c in zip(rows, cols)]
-    assert dense_sizes == [512, 512, 512]  # P and Q, then P once for P with itself
+        g = multiplex(n, ties)
+        for name in ("a", "b"):
+            m = layer_metrics(g.view(name))
+            columns[n, name] = [getattr(m, f)[:k].tolist() for f in ("three_cycles", "triplets", "cycle_closure", "triplet_closure")]
+            assert m.three_cycles[k:].tolist() == [0] * (n - k)
+        pair = cross_layer_metrics(g, "a", "b")
+        columns[n, "a-b"] = [getattr(pair, f)[:k].tolist() for f in ("cycle_closure", "triplet_closure")]
+        if n == 512:
+            assert listings["listing"] == 0
+    assert listings["listing"]  # the 513-node graph was counted from triangles
+    assert all(columns[512, key] == columns[513, key] for key in ("a", "b", "a-b"))
+    v = g.view("a")
+    assert columns[513, "a"][0] == [oracles.three_cycle_count(v, i) for i in range(k)]
+    assert columns[513, "a"][1] == [oracles.triplet_count(v, i) for i in range(k)]
+    assert set(dense_sizes) == {512}
+
+
+def listed_triangles(keys, n, within=None):
+    """Each listed triangle as the frozenset of its three pair indices, with a check of its id order."""
+    found = []
+    for step in kernels.triangles(keys, n, within):
+        for uv, uw, vw, order in step.T.tolist():
+            (u, v), (u2, w) = ends(keys, n, uv, uw)
+            shared = {u, v} & {u2, w}
+            assert len(shared) == 1
+            u = shared.pop()
+            v, w = ({*divmod(int(keys[uv]), n)} - {u}).pop(), ({*divmod(int(keys[uw]), n)} - {u}).pop()
+            assert sorted(divmod(int(keys[vw]), n)) == sorted((v, w))
+            assert order == (u < v) | (u < w) << 1 | (v < w) << 2
+            found.append(frozenset((uv, uw, vw)))
+    return found
+
+
+def ends(keys, n, *sides):
+    return [divmod(int(keys[s]), n) for s in sides]
+
+
+def brute_triangles(keys, n, within=None):
+    """Every triangle of the pairs ``keys[within]`` by a triple loop over the nodes."""
+    index = {int(key): k for k, key in enumerate(keys.tolist()) if within is None or k in set(within.tolist())}
+    found = set()
+    for x, y, z in itertools.combinations(range(n), 3):
+        sides = (x * n + y, x * n + z, y * n + z)
+        if all(side in index for side in sides):
+            found.add(frozenset(index[side] for side in sides))
+    return found
+
+
+def assert_listed_once(keys, n, within=None):
+    found = listed_triangles(keys, n, within)
+    assert len(found) == len(set(found))
+    assert set(found) == brute_triangles(keys, n, within)
+    return len(found)
 
 
 def test_probe_chunks_that_split_single_rows(monkeypatch):
-    # chunks of 7 probes cut most rows, so a count is summed across chunks
+    # steps of 7 entries cut most walked rows and blocks of 7 oriented keys
+    # cut the union, so every triangle must still come exactly once
     force_probe(monkeypatch)
     monkeypatch.setattr(kernels, "_STEP", 7)
+    total = 0
+    rng = np.random.default_rng(2)
+    for g in metric_corpus():
+        keys, n = g.view("u").pairs.keys, g.n_nodes
+        total += assert_listed_once(keys, n)
+        assert_listed_once(keys, n, np.flatnonzero(rng.random(len(keys)) < 0.6))
+    assert total > 100
     for g in metric_corpus(60):
-        v = g.view("u")
-        und = undirected(v)
-        for P, Q in ((v.out, v.inn), (und, und), (v.inn, v.out)):
-            all_pairs_match_sets(P, Q)
+        assert_listed_counts_match_sets(g, ["a", "u"])
     n = 40
-    hub = csr([set(range(1, n))] + [{0, *range(k, n, k)} for k in range(1, n)])
-    all_pairs_match_sets(hub, hub)
+    hub = [(0, j) for j in range(1, n)] + [(j, k) for j in range(1, n) for k in range(j, n, j) if k != j]
+    g = multiplex(n, {"a": hub, "empty": []})
+    assert assert_listed_once(g.view("a").pairs.keys, n) > 50
+    assert_listed_counts_match_sets(g)
+    empty = LayerView("empty", 30, np.zeros(0, dtype=np.int64))
+    assert list(kernels.triangles(empty.pairs.keys, 30)) == []
+    assert layer_metrics(empty).triplets.tolist() == [0] * 30
 
 
 def test_hub_graph_memory_stays_bounded():
-    # hub <-> leaf ties both ways: probing the hub row once per tie would
-    # expand ~4M entries (30.5 MiB as one int64 array)
+    # hub <-> leaf ties both ways: expanding the hub row once per tie
+    # would hold ~4M entries (30.5 MiB as one int64 array)
     n = 2000
     labels = [str(k) for k in range(n)]
     ties = [(src, dst, "a") for leaf in labels[1:] for src, dst in (("0", leaf), (leaf, "0"))]
@@ -126,112 +240,131 @@ def test_hub_graph_memory_stays_bounded():
         assert peak < 8 * 2**20
     assert result.total == (n - 1) * (n - 2) // 2 == 1_997_001
     assert result.closed == {"a": 0, "any": 0}
+    assert g.view("a").pairs._listing.shape == (4, 0)  # the listing ran, and a star has no triangle
+    peak, _ = walk_peak(g.view("a").pairs.keys, n)
+    assert peak < 2**20
 
 
-def probe_peak(P, Q, rows, cols):
-    """``tracemalloc`` peak of one ``intersection_counts`` call, in bytes, and its counts."""
+def walk_peak(keys, n):
+    """``tracemalloc`` peak of one walk of ``triangles``, in bytes, and the triangles it found."""
     tracemalloc.start()
     try:
-        counts = intersection_counts(P, Q, rows, cols)
+        found = sum(step.shape[1] for step in kernels.triangles(keys, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, counts
+    return peak, found
 
 
 def test_probe_scratch_per_query_stays_bounded():
-    # n = 6000 takes the probe.  Rows tie to nearby columns and queries
-    # pair nearby rows, so many counts are nonzero.  Most queries expand
-    # P's row, the rest Q's, so both groups run.  The probed keys and
-    # the blocks do not grow with the query count, so the peak's slope
-    # over two query counts is the scratch each query holds plus its
-    # 8-byte count in the result.
+    # The listing's scratch per pair: its oriented keys (8 bytes), the
+    # pair of each (4) and, while they are sorted, the sort's int64
+    # order (8).  A step is bounded by _STEP, so the peak's slope over
+    # two pair counts is the scratch per pair.  Ties join nearby nodes,
+    # so many triangles are found.
     rng = np.random.default_rng(7)
-    n = 6000
+    n = 60_000
 
-    def near(degrees):
-        rows = np.repeat(np.arange(n), degrees)
-        return CSR.from_keys(np.unique(rows * n + (rows + rng.integers(-20, 21, len(rows))) % n), n)
+    def near(count):
+        a = rng.integers(0, n - 30, count)
+        return np.unique(a * n + a + rng.integers(1, 30, count))
 
-    P, Q = near(rng.choice([0, 1, 2, 3, 4, 12], size=n, p=[0.1, 0.2, 0.3, 0.2, 0.15, 0.05])), near(6)
-    rows = rng.integers(0, n, 300_000).astype(np.intp)
-    cols = (rows + rng.integers(-10, 11, len(rows))) % n
-    assert 0.8 < (P.degrees()[rows] <= Q.degrees()[cols]).mean() < 0.97
-    small, large = 75_000, 300_000
-    peak_small, _ = probe_peak(P, Q, rows[:small], cols[:small])
-    peak_large, counts = probe_peak(P, Q, rows, cols)
-    p_rows, q_rows = P.rows(), Q.rows()
-    sample = range(0, large, 97)
-    assert [counts[t] for t in sample] == [len(set(p_rows[rows[t]]) & set(q_rows[cols[t]])) for t in sample]
-    assert np.count_nonzero(counts) > 50_000
-    per_query = (peak_large - peak_small) / (large - small) - 8
-    assert per_query <= 40, per_query
+    small, large = near(75_000), near(300_000)
+    peak_small, found_small = walk_peak(small, n)
+    peak_large, found_large = walk_peak(large, n)
+    assert found_large > 50_000
+    per_pair = (peak_large - peak_small) / (len(large) - len(small))
+    assert per_pair <= 21, per_pair
 
 
 def test_int32_cols_take_no_wider_copy():
-    # metrics._closure passes a CSR's int32 indices as ``cols``; a widened
-    # copy of them all would hold 8 more bytes per query than intp ``cols``
+    # below 2**31 pairs the listing indexes pairs in int32, so the kept
+    # listing holds 4 bytes per index, and a place table 4 per entry
     rng = np.random.default_rng(9)
     n = 6000
-    ends = np.repeat(np.arange(n), 5)  # ties to nearby nodes, so many counts are nonzero
-    walk = CSR.from_keys(np.unique(ends * n + (ends + rng.integers(-10, 11, len(ends))) % n), n)
-    rows, cols = walk.row_ids(), walk.indices
-    assert cols.dtype == np.int32
-    intersection_counts(walk, walk, rows, cols)  # the first call allocates a few hundred bytes once
-    peak_int32, counts = probe_peak(walk, walk, rows, cols)
-    peak_intp, expected = probe_peak(walk, walk, rows, cols.astype(np.intp))
-    assert counts.tolist() == expected.tolist()
-    assert np.count_nonzero(counts) > 1000
-    assert peak_int32 <= peak_intp, (peak_int32, peak_intp)
+    ends_ = np.repeat(np.arange(n), 5)  # ties to nearby nodes, so many triangles
+    ties = np.unique(ends_ * n + (ends_ + rng.integers(1, 11, len(ends_))) % n)
+    view = LayerView("near", n, ties)
+    kept, steps = view.pairs.triangles(["near"])
+    assert kept
+    (listing,) = steps
+    assert listing.dtype == np.int32 and listing.shape[1] > 1000
+    place = kernels._places(view.out, view.pairs.keys, n, search=False)
+    assert place.__self__.dtype == np.int32
 
 
 def test_int32_cols_near_the_last_node_id():
-    # 49,999 * 50,000 wraps in int32, so the probe widens each step's
-    # column ids before it keys them
+    # 49,999 * 50,000 wraps in int32, so every key of the listing is int64
     rng = random.Random(11)
     n = 50_000
-    ends = range(n - 50, n)
-    p_rows, q_rows = [set() for _ in range(n)], [set() for _ in range(n)]
-    for k in [*rng.sample(range(n - 50), 200), *ends]:
-        p_rows[k] = set(rng.sample(ends, 5)) | set(rng.sample(range(n), 5))
-        q_rows[k] = set(rng.sample(ends, 5)) | set(rng.sample(range(n), 5))
-    P, Q = csr(p_rows), csr(q_rows)
-    busy = [k for k in range(n) if p_rows[k]]
-    rows = [rng.choice(busy) for _ in range(2000)] + [n - 1] * 50
-    cols = [rng.choice(busy) for _ in range(2000)] + list(ends)
-    expected = [len(p_rows[r] & q_rows[c]) for r, c in zip(rows, cols)]
-    assert sum(map(bool, expected)) > 500
-    counts = intersection_counts(P, Q, np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))
-    assert counts.tolist() == expected
+    last = range(n - 50, n)
+    ties = {"a": [], "b": []}
+    for name in ties:
+        for k in [*rng.sample(range(n - 50), 200), *last]:
+            ties[name] += [(k, j) for j in set(rng.sample(last, 5)) | set(rng.sample(range(n), 5)) if j != k]
+    g = multiplex(n, ties)
+    assert_listed_counts_match_sets(g)
+    assert sum(map(bool, expected_counts(g, "a", "b")[1])) > 100
 
 
-def assert_diagonal(P, Q):
-    nodes = np.arange(len(P.indptr) - 1)
-    counts = row_intersections(P, Q)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == intersection_counts(P, Q, nodes, nodes).tolist()
+def node_term_counts(g, alpha, beta):
+    """The three diagonal counts of the pair codes: out_alpha ∩ in_beta, out_alpha ∩ out_beta, in_alpha ∩ in_beta."""
+    va, vb = g.view(alpha), g.view(beta)
+    pairs = va.pairs
+    a, b = pairs.code(alpha), pairs.code(beta)
+    return [
+        _node_terms(pairs, x, y, P, Q)[0].tolist()
+        for x, y, P, Q in (
+            (a, _reversed(b), va.out, vb.inn),
+            (a, b, va.out, vb.out),
+            (_reversed(a), _reversed(b), va.inn, vb.inn),
+        )
+    ]
+
+
+def expected_node_terms(g, alpha, beta):
+    out_a, in_a = sets_of(g.view(alpha))
+    out_b, in_b = sets_of(g.view(beta))
+    return [[len(p & q) for p, q in zip(P, Q)] for P, Q in ((out_a, in_b), (out_a, out_b), (in_a, in_b))]
 
 
 def test_row_intersections_match_intersection_counts_on_corpus():
+    # the diagonal counts |P[i] ∩ Q[i]| of reciprocity and the overlaps
+    # come from the pair codes, as bit tests
     for g in metric_corpus():
-        views = [g.view(name) for name in g.layer_names]
-        matrices = [m for v in views for m in (v.out, v.inn, undirected(v))]
-        for P in matrices:
-            for Q in matrices:
-                assert_diagonal(P, Q)
+        for alpha in g.layer_names:
+            assert layer_metrics(g.view(alpha)).reciprocated.tolist() == expected_node_terms(g, alpha, alpha)[0]
+            for beta in g.layer_names:
+                assert node_term_counts(g, alpha, beta) == expected_node_terms(g, alpha, beta)
 
 
 def test_row_intersections_hub_empty_rows_and_empty_layer():
     n = 2000
-    hub = csr([set(range(1, n))] + [{0} for _ in range(1, n)])
-    spokes = csr([set(range(1, n, 2))] + [{0} if k % 3 else set() for k in range(1, n)])
-    empty = csr([set() for _ in range(n)])
-    for P, Q in ((hub, spokes), (spokes, hub), (hub, hub), (hub, empty), (empty, spokes), (empty, empty)):
-        assert_diagonal(P, Q)
-    assert row_intersections(hub, spokes)[:4].tolist() == [n // 2, 1, 1, 0]
-    assert row_intersections(hub, empty).tolist() == [0] * n
-    none = csr([])
-    assert row_intersections(none, none).tolist() == []
+    hub = [(0, j) for j in range(1, n)] + [(j, 0) for j in range(1, n)]
+    spokes = [(0, j) for j in range(1, n, 2)] + [(j, 0) for j in range(1, n) if j % 3]
+    g = multiplex(n, {"hub": hub, "spokes": spokes, "empty": []})
+    for alpha in g.layer_names:
+        for beta in g.layer_names:
+            assert node_term_counts(g, alpha, beta) == expected_node_terms(g, alpha, beta)
+    assert node_term_counts(g, "hub", "spokes")[0][:4] == [len(range(1, n)) - len(range(3, n, 3)), 1, 0, 1]
+    assert node_term_counts(g, "hub", "spokes")[1][:4] == [n // 2, 1, 1, 0]
+    assert node_term_counts(g, "hub", "empty") == [[0] * n] * 3
+    none = LayerView("none", 0, np.zeros(0, dtype=np.int64))
+    assert layer_metrics(none).reciprocated.tolist() == []
+
+
+def test_csr_row_starts_round_trip_past_46340_nodes():
+    # 46,341 squared exceeds 2**31: row starts computed in a 32-bit
+    # default integer would wrap and misplace every row near the end
+    # (only on a platform whose default integer is 32 bits; elsewhere
+    # this passes either way)
+    n = 50_000
+    rows = {n - 1: [0, 7, n - 2], n - 2: [n - 1], n - 3: [1, n - 4], 46_341: [46_340, 49_000], 3: [n - 1]}
+    keys = np.array(sorted(i * n + j for i, row in rows.items() for j in row), dtype=np.int64)
+    matrix = CSR.from_keys(keys, n)
+    assert matrix.indptr.dtype == np.int64 and matrix.indptr[-1] == len(keys)
+    stored = matrix.rows()
+    assert {i: row for i, row in enumerate(stored) if row} == {i: sorted(row) for i, row in rows.items()}
 
 
 @pytest.mark.parametrize("swar", [False, True])

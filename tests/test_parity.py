@@ -1,10 +1,13 @@
-"""Report bytes on an input large enough for the probe kernel.
+"""Report bytes on an input large enough for the triangle listing.
 
 ``data/demo`` has 60 nodes, so ``demo_digests.json`` pins the dense
 ``intersection_counts`` path only.  ``generate --nodes 600 --seed 1``
-is above the dense limit of 512 nodes, so every count here comes from
-the sorted-key probe.  ``probe_digests.json`` holds the sha256 of each
-command's stdout, keyed by its arguments.
+is above the dense limit of 512 nodes, so every closure count here
+comes from the triangle listing (before it, from the sorted-key probe,
+which gave the name ``probe_digests.json``).  Its union has far more
+triangles than pairs, so each call lists its own layers' pairs again.
+``probe_digests.json`` holds the sha256 of each command's stdout, keyed
+by its arguments.
 
 ``ingest_digests.json`` pins what the command line makes of small edge,
 node and attribute files, readable and malformed: the sha256 of stdout,
@@ -17,8 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from tieplex import kernels
+from conftest import count_listings, write_sparse_input
+
+from tieplex import kernels, load_dataset
 from tieplex.cli import main
+from tieplex.report import endogenous_report
 
 PROBE_DIGESTS = json.loads(Path(__file__).with_name("probe_digests.json").read_text(encoding="utf-8"))
 NODES, SEED = 600, 1
@@ -31,8 +37,33 @@ def manifest(tmp_path_factory):
     return root / "manifest.json"
 
 
-def test_input_takes_the_probe():
-    assert 4 * NODES * NODES > kernels._DENSE_BYTES
+def test_input_takes_the_probe(manifest, monkeypatch, capsys):
+    assert not kernels.fits_dense(NODES)
+    listings = count_listings(monkeypatch)
+    for verb in ("endogenous", "cross", "wedges --wedge-layer all", "equiv --layer all"):
+        before = listings["listing"]
+        assert main([*verb.split(), "--manifest", str(manifest)]) == 0
+        assert listings["listing"] > before, verb
+    capsys.readouterr()
+
+
+def test_dense_union_keeps_no_listing(manifest):
+    # 2,016,224 triangles on 68,864 pairs: the first walk stops once it
+    # passes the pair count, and each call lists its own layers again
+    dataset = load_dataset(manifest)
+    endogenous_report(dataset)
+    pairs = dataset.graph.view("all").pairs
+    assert len(pairs.keys) == 68_864
+    assert pairs._listing is False
+
+
+def test_sparse_wide_listing_holds_three_pair_indices_per_pair(tmp_path, monkeypatch):
+    # the sparse-wide benchmark input: 670 triangles on 63,660 pairs
+    dataset = load_dataset(write_sparse_input(tmp_path, 1, 8000, monkeypatch))
+    endogenous_report(dataset)
+    pairs = dataset.graph.view("all").pairs
+    assert pairs._listing.shape == (4, 670) and len(pairs.keys) == 63_660
+    assert pairs._listing[:3].size <= 3 * len(pairs.keys)
 
 
 @pytest.mark.parametrize("command", sorted(PROBE_DIGESTS))
